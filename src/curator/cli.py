@@ -182,30 +182,14 @@ def _inject_output_provenance(args, publisher: Publisher, project: Path, options
         print(f"recorded provenance in {len(stats)} stat file(s)")
 
 
-def _cmd_publish_software(args) -> int:
-    with _open_client(args) as (client, category):
-        _stage_software(args, Publisher(client, category))
-    return 0
-
-
-def _cmd_publish_input(args) -> int:
-    with _open_client(args) as (client, category):
-        _stage_fileset(args, Publisher(client, category), "input")
-    return 0
-
-
-def _cmd_publish_output(args) -> int:
-    with _open_client(args) as (client, category):
-        _stage_fileset(args, Publisher(client, category), "output")
-    return 0
-
-
-def _cmd_publish_all(args) -> int:
+def _cmd_publish(args) -> int:
     with _open_client(args) as (client, category):
         publisher = Publisher(client, category)
-        _stage_software(args, publisher)
-        _stage_fileset(args, publisher, "input")
-        _stage_fileset(args, publisher, "output")
+        for slot in args.stages:
+            if slot == "software":
+                _stage_software(args, publisher)
+            else:
+                _stage_fileset(args, publisher, slot)
     return 0
 
 
@@ -285,22 +269,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("publish-software", help="publish the software revision")
     common(sp)
     repo_args(sp)
-    sp.set_defaults(func=_cmd_publish_software)
+    sp.set_defaults(func=_cmd_publish, stages=("software",))
 
     sp = sub.add_parser("publish-input", help="publish input data files")
     common(sp)
-    sp.set_defaults(func=_cmd_publish_input)
+    sp.set_defaults(func=_cmd_publish, stages=("input",))
 
     sp = sub.add_parser("publish-output", help="publish output data with provenance")
     common(sp)
     prefix_arg(sp)
-    sp.set_defaults(func=_cmd_publish_output)
+    sp.set_defaults(func=_cmd_publish, stages=("output",))
 
     sp = sub.add_parser("publish-all", help="software, input and output in order")
     common(sp)
     repo_args(sp)
     prefix_arg(sp)
-    sp.set_defaults(func=_cmd_publish_all)
+    sp.set_defaults(func=_cmd_publish, stages=("software", "input", "output"))
 
     sp = sub.add_parser("status", help="show recorded ids and DOIs")
     sp.add_argument("-p", "--project", required=True, help="simulation project file (XML)")

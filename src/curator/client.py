@@ -3,17 +3,23 @@ HTTP backend speaking the reference wire protocol.
 
 Two interchangeable implementations exist: :class:`HttpDepotClient` below
 and the in-process :class:`curator.depot.Depot`. Workflow code only ever
-sees the :class:`DepotClient` interface.
+sees the :class:`DepotClient` interface. Each operation's method, path,
+success status and wire codecs are declared once, in :data:`ROUTES`: the
+client builds its requests from it and the facade in
+:mod:`curator.depot_http` dispatches by it.
 """
 
 from __future__ import annotations
 
+import json
 import logging
+import re
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from urllib.parse import quote, urlparse
+from typing import Callable
+from urllib.parse import quote, urlencode, urlparse
 
 import requests
 
@@ -26,6 +32,7 @@ ARTICLE_KINDS = ("code", "fileset")
 DEFAULT_TIMEOUT = 30.0
 # Transport failures are retried this many times before surfacing.
 RETRY_BACKOFF = (0.5, 1.0, 2.0)
+FILE_NAME_HEADER = "X-File-Name"
 
 
 @dataclass
@@ -79,31 +86,35 @@ class ClientConfig:
 
 
 def file_entry_to_wire(entry: FileEntry) -> dict:
-    return {
-        "file_id": entry.file_id,
-        "name": entry.name,
-        "size": entry.size,
-        "md5": entry.md5,
-    }
+    return dict(vars(entry))
 
 
 def file_entry_from_wire(payload: dict) -> FileEntry:
-    return FileEntry(
-        file_id=payload["file_id"],
-        name=payload["name"],
-        size=payload["size"],
-        md5=payload["md5"],
+    return FileEntry(payload["file_id"], payload["name"], payload["size"], payload["md5"])
+
+
+def meta_to_wire(meta: ArticleMeta) -> dict:
+    """Metadata fields as sent on the wire. Values pass through unchanged,
+    so the depot validates exactly what the caller gave."""
+    return dict(vars(meta))
+
+
+def meta_from_wire(payload: dict) -> ArticleMeta:
+    return ArticleMeta(
+        title=payload.get("title"),
+        description=payload.get("description", ""),
+        kind=payload.get("kind"),
+        category=payload.get("category", ""),
+        tags=payload.get("tags", []),
     )
 
 
 def record_to_wire(record: ArticleRecord) -> dict:
-    """Flatten a record into the wire-protocol article representation."""
+    """Flatten a record into the wire-protocol article representation.
+    Lists are copied, so the result never aliases ``record``."""
     return {
         "article_id": record.article_id,
-        "title": record.meta.title,
-        "description": record.meta.description,
-        "kind": record.meta.kind,
-        "category": record.meta.category,
+        **meta_to_wire(record.meta),
         "tags": list(record.meta.tags),
         "status": record.status,
         "version": record.version,
@@ -114,22 +125,80 @@ def record_to_wire(record: ArticleRecord) -> dict:
 
 
 def record_from_wire(payload: dict) -> ArticleRecord:
-    meta = ArticleMeta(
-        title=payload["title"],
-        description=payload.get("description", ""),
-        kind=payload["kind"],
-        category=payload.get("category", ""),
-        tags=list(payload.get("tags", [])),
-    )
     return ArticleRecord(
         article_id=payload["article_id"],
-        meta=meta,
+        meta=meta_from_wire(payload),
         status=payload["status"],
         version=payload["version"],
         doi=payload.get("doi"),
         files=[file_entry_from_wire(f) for f in payload.get("files", [])],
         authors=list(payload.get("authors", [])),
     )
+
+
+def args_to_wire(names, args) -> dict:
+    """Flat wire parameters for positional arguments; ``meta`` is spread into its fields."""
+    wire = {}
+    for name, value in zip(names, args):
+        wire.update(meta_to_wire(value) if name == "meta" else {name: value})
+    return wire
+
+
+def args_from_wire(names, params: dict) -> list:
+    return [meta_from_wire(params) if name == "meta" else params.get(name) for name in names]
+
+
+@dataclass
+class Route:
+    """One depot operation on the wire.
+
+    ``{name}`` path segments carry integer parameters. The others travel
+    in a GET's query string or a POST's JSON object body, except that a
+    ``body`` parameter is the raw request body, with ``name`` in the
+    X-File-Name header. ``reply`` encodes the contract method's result as
+    the response payload; ``parse`` decodes it.
+    """
+
+    method: str
+    path: str
+    status: int
+    params: tuple[str, ...]
+    reply: Callable = record_to_wire
+    parse: Callable = record_from_wire
+
+    def __post_init__(self):
+        self.pattern = re.compile(re.sub(r"\{(\w+)\}", r"(?P<\1>\\d+)", self.path))
+
+
+# The one declaration of each depot operation, keyed by Depot method: the
+# facade routes by it, Depot.handle decodes and encodes with it, and
+# HttpDepotClient builds its requests from it.
+ROUTES = {
+    "create_article": Route(
+        "POST", "/v1/articles", 201, ("meta",),
+        reply=lambda record: {"article_id": record.article_id},
+        parse=lambda payload: payload["article_id"],
+    ),
+    "search_by_tag": Route(
+        "GET", "/v1/articles/search", 200, ("tag",),
+        reply=lambda records: {"items": [record_to_wire(r) for r in records]},
+        parse=lambda payload: [record_from_wire(item) for item in payload["items"]],
+    ),
+    "get_article": Route("GET", "/v1/articles/{article_id}", 200, ("article_id",)),
+    "upload_bytes": Route(
+        "POST", "/v1/articles/{article_id}/files", 201, ("article_id", "name", "body"),
+        reply=file_entry_to_wire, parse=file_entry_from_wire,
+    ),
+    "add_tag": Route("POST", "/v1/articles/{article_id}/tags", 200, ("article_id", "tag")),
+    "add_authors": Route(
+        "POST", "/v1/articles/{article_id}/authors", 200, ("article_id", "author_ids")
+    ),
+    "publish_article": Route(
+        "POST", "/v1/articles/{article_id}/publish", 200, ("article_id",),
+        reply=lambda result: {"doi": result[0], "version": result[1]},
+        parse=lambda payload: (payload["doi"], payload["version"]),
+    ),
+}
 
 
 def read_local_file(local_path) -> bytes:
@@ -197,17 +266,12 @@ class HttpDepotClient(DepotClient):
         self._session = requests.Session()
         self._session.headers["Authorization"] = f"token {config.token}"
 
-    def _request(self, method: str, path: str, *, json_body=None, data=None, headers=None):
+    def _request(self, method: str, path: str, *, data=None, headers=None):
         url = f"{self._base}{path}"
         for delay in (*RETRY_BACKOFF, None):
             try:
                 response = self._session.request(
-                    method,
-                    url,
-                    json=json_body,
-                    data=data,
-                    headers=headers,
-                    timeout=self._timeout,
+                    method, url, data=data, headers=headers, timeout=self._timeout
                 )
             except (requests.ConnectionError, requests.Timeout) as exc:
                 if delay is None:
@@ -226,62 +290,62 @@ class HttpDepotClient(DepotClient):
 
     @staticmethod
     def _handle_response(method: str, path: str, response: requests.Response):
-        if 200 <= response.status_code < 300:
-            return response.json() if response.content else None
-        kind = None
+        status = response.status_code
+        ok = 200 <= status < 300
         try:
-            kind = response.json().get("error")
-        except ValueError:
-            pass
-        exc_class = wire_error(kind, response.status_code)
-        raise exc_class(f"{method} {path} returned {response.status_code}")
+            payload = response.json() if response.content else None
+        except ValueError as exc:
+            if ok:
+                raise TransportError(f"{method} {path} returned {status}, not JSON") from exc
+            payload = None
+        if ok:
+            return payload
+        kind = payload.get("error") if isinstance(payload, dict) else None
+        raise wire_error(kind, status)(f"{method} {path} returned {status}")
+
+    def _call(self, op: str, *args):
+        """Send one operation as its route declares and parse the reply."""
+        route = ROUTES[op]
+        fields = args_to_wire(route.params, args)
+        path = route.path.format(**fields)
+        for name in route.pattern.groupindex:
+            del fields[name]
+        # A value the wire cannot carry arrives as missing (a non-text query
+        # value) or null (in JSON), for the depot to reject as it would the value.
+        data = headers = None
+        if route.method == "GET":
+            text = {k: v for k, v in fields.items() if isinstance(v, str)}
+            path += f"?{urlencode(text, quote_via=quote)}" if text else ""
+        elif "body" in fields:
+            data = fields["body"]
+            headers = {FILE_NAME_HEADER: fields["name"], "Content-Type": "application/octet-stream"}
+        else:
+            data = json.dumps(fields, default=lambda _: None).encode("utf-8")
+            headers = {"Content-Type": "application/json"}
+        payload = self._request(route.method, path, data=data, headers=headers)
+        try:
+            return route.parse(payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TransportError(f"{route.method} {path} returned a malformed reply") from exc
 
     def create_article(self, meta: ArticleMeta) -> ArticleRecord:
-        payload = {
-            "title": meta.title,
-            "description": meta.description,
-            "kind": meta.kind,
-            "category": meta.category,
-            "tags": list(meta.tags),
-        }
-        created = self._request("POST", "/v1/articles", json_body=payload)
-        return self.get_article(created["article_id"])
+        return self.get_article(self._call("create_article", meta))
 
     def upload_file(self, article_id: int, local_path) -> FileEntry:
-        path = Path(local_path)
-        body = read_local_file(path)
-        payload = self._request(
-            "POST",
-            f"/v1/articles/{article_id}/files",
-            data=body,
-            headers={
-                "X-File-Name": path.name,
-                "Content-Type": "application/octet-stream",
-            },
-        )
-        return file_entry_from_wire(payload)
+        body = read_local_file(local_path)
+        return self._call("upload_bytes", article_id, Path(local_path).name, body)
 
     def search_by_tag(self, tag: str) -> list[ArticleRecord]:
-        payload = self._request("GET", f"/v1/articles/search?tag={quote(tag, safe='')}")
-        return [record_from_wire(item) for item in payload["items"]]
+        return self._call("search_by_tag", tag)
 
     def add_tag(self, article_id: int, tag: str) -> ArticleRecord:
-        payload = self._request(
-            "POST", f"/v1/articles/{article_id}/tags", json_body={"tag": tag}
-        )
-        return record_from_wire(payload)
+        return self._call("add_tag", article_id, tag)
 
     def add_authors(self, article_id: int, author_ids) -> ArticleRecord:
-        payload = self._request(
-            "POST",
-            f"/v1/articles/{article_id}/authors",
-            json_body={"author_ids": list(author_ids)},
-        )
-        return record_from_wire(payload)
+        return self._call("add_authors", article_id, author_ids)
 
     def publish_article(self, article_id: int) -> tuple[str, int]:
-        payload = self._request("POST", f"/v1/articles/{article_id}/publish", json_body={})
-        return payload["doi"], payload["version"]
+        return self._call("publish_article", article_id)
 
     def get_article(self, article_id: int) -> ArticleRecord:
-        return record_from_wire(self._request("GET", f"/v1/articles/{article_id}"))
+        return self._call("get_article", article_id)

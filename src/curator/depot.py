@@ -4,7 +4,9 @@ A small state machine that implements the full :class:`DepotClient`
 contract so the publication workflow can run with no network at all.
 Every mutation is appended to an op log for test observability, and the
 current article records can optionally persist to a JSONL file so a
-restarted process sees the same articles.
+restarted process sees the same articles. The HTTP facade reaches it
+through :meth:`Depot.handle`, which decodes, calls and encodes with the
+operation table in :mod:`curator.client`.
 """
 
 from __future__ import annotations
@@ -14,15 +16,17 @@ import json
 import logging
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .client import (
     ARTICLE_KINDS,
+    ROUTES,
     ArticleMeta,
     ArticleRecord,
     DepotClient,
     FileEntry,
+    args_from_wire,
     read_local_file,
     record_from_wire,
     record_to_wire,
@@ -85,7 +89,7 @@ def _validate_meta(meta: ArticleMeta) -> None:
         raise InvalidMeta("description must be text")
     if not isinstance(meta.category, str):
         raise InvalidMeta("category must be text")
-    if not isinstance(meta.tags, list):
+    if not isinstance(meta.tags, (list, tuple)):
         raise InvalidMeta("tags must be a list")
     seen = set()
     for tag in meta.tags:
@@ -182,16 +186,7 @@ class Depot(DepotClient):
             _validate_meta(meta)
             article_id = self.state.next_article_id
             self.state.next_article_id += 1
-            head = ArticleRecord(
-                article_id=article_id,
-                meta=ArticleMeta(
-                    title=meta.title,
-                    description=meta.description,
-                    kind=meta.kind,
-                    category=meta.category,
-                    tags=list(meta.tags),
-                ),
-            )
+            head = ArticleRecord(article_id, replace(meta, tags=list(meta.tags)))
             self.state.articles[article_id] = StoredArticle(head=head)
             self._log("create_article", article_id, meta.title)
             return self._copy_record(head)
@@ -298,44 +293,9 @@ class Depot(DepotClient):
     # -- facade entry point -------------------------------------------
 
     def handle(self, op: str, params: dict):
-        """Apply one contract operation named by ``op`` with wire-shaped
-        parameters, returning a JSON-ready result.
-
-        This is the single seam the HTTP facade drives, which keeps the
-        two transports semantically identical by construction.
-        """
-        if op == "create_article":
-            meta = ArticleMeta(
-                title=params.get("title"),
-                description=params.get("description", ""),
-                kind=params.get("kind"),
-                category=params.get("category", ""),
-                tags=params.get("tags") or [],
-            )
-            return record_to_wire(self.create_article(meta))
-        if op == "get_article":
-            return record_to_wire(self.get_article(params["article_id"]))
-        if op == "upload_file":
-            entry = self.upload_bytes(
-                params["article_id"], params.get("name"), params.get("content", b"")
-            )
-            return {
-                "file_id": entry.file_id,
-                "name": entry.name,
-                "size": entry.size,
-                "md5": entry.md5,
-            }
-        if op == "search_by_tag":
-            return [record_to_wire(r) for r in self.search_by_tag(params.get("tag"))]
-        if op == "add_tag":
-            return record_to_wire(self.add_tag(params["article_id"], params.get("tag")))
-        if op == "add_authors":
-            return record_to_wire(
-                self.add_authors(params["article_id"], params.get("author_ids"))
-            )
-        if op == "publish_article":
-            doi, version = self.publish_article(params["article_id"])
-            return {"doi": doi, "version": version}
-        if op == "mint_doi":
-            return self.mint_doi(params["article_id"])
-        raise ValueError(f"unknown operation {op!r}")
+        """Apply operation ``op`` of :data:`curator.client.ROUTES` to wire-shaped
+        ``params`` and return its wire-shaped reply. This is the seam the HTTP
+        facade drives; the same table builds the client's requests, which
+        keeps the two transports semantically identical by construction."""
+        route = ROUTES[op]
+        return route.reply(getattr(self, op)(*args_from_wire(route.params, params)))

@@ -1,35 +1,26 @@
 """HTTP facade for the in-process depot.
 
-Translates the wire protocol onto :meth:`curator.depot.Depot.handle`, so
-the facade adds transport and auth but no semantics of its own. Error
-bodies are always ``{"error": <kind>}`` with the status fixed per kind.
+Matches each request against :data:`curator.client.ROUTES`, gathers the
+route's parameters from the path, query, body and headers, and hands them
+to :meth:`curator.depot.Depot.handle`, so the facade adds transport and
+auth but no semantics of its own. Error bodies are always
+``{"error": <kind>}`` with the status from
+:data:`curator.errors.STATUS_BY_KIND`.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
+from .client import FILE_NAME_HEADER, ROUTES
 from .depot import Depot
-from .errors import BindError, CuratorError, InvalidMeta
+from .errors import STATUS_BY_KIND, AuthFailure, BindError, CuratorError, InvalidMeta, NotFound
 
 logger = logging.getLogger(__name__)
-
-_STATUS_BY_KIND = {
-    "AuthFailure": 401,
-    "NotFound": 404,
-    "Conflict": 409,
-    "AlreadyMinted": 409,
-    "NothingToPublish": 409,
-    "InvalidMeta": 422,
-}
-
-_ARTICLE_PATH = re.compile(r"^/v1/articles/(\d+)$")
-_ACTION_PATH = re.compile(r"^/v1/articles/(\d+)/(files|tags|authors|publish)$")
 
 
 class _Server(ThreadingHTTPServer):
@@ -53,16 +44,22 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_kind(self, kind: str) -> None:
-        self._send(_STATUS_BY_KIND.get(kind, 500), {"error": kind})
-
     def _read_body(self) -> bytes:
         # Always drain the body, even on auth failure, or the next
-        # request on a keep-alive connection starts mid-stream.
-        length = int(self.headers.get("Content-Length") or 0)
+        # request on a keep-alive connection starts mid-stream. A body of
+        # unknown length cannot be drained, so the connection is dropped.
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise InvalidMeta("Content-Length must be a nonnegative integer")
         return self.rfile.read(length) if length else b""
 
     def _read_json(self, raw: bytes) -> dict:
@@ -80,78 +77,33 @@ class _Handler(BaseHTTPRequestHandler):
         return self.headers.get("Authorization") == f"token {self.server.token}"
 
     def _dispatch(self, method: str) -> None:
-        raw = self._read_body() if method == "POST" else b""
-        if not self._authorized():
-            self._send_error_kind("AuthFailure")
-            return
         try:
+            raw = self._read_body() if method == "POST" else b""
+            if not self._authorized():
+                raise AuthFailure("missing or wrong token")
             self._route(method, raw)
         except CuratorError as exc:
-            self._send_error_kind(exc.kind)
+            self._send(STATUS_BY_KIND.get(type(exc), 500), {"error": exc.kind})
         except Exception:
             logger.exception("unhandled facade failure on %s %s", method, self.path)
             self._send(500, {"error": "InternalError"})
 
     def _route(self, method: str, raw: bytes) -> None:
         split = urlsplit(self.path)
-        path = split.path
-        depot = self.server.depot
-
-        if method == "POST" and path == "/v1/articles":
-            record = depot.handle("create_article", self._read_json(raw))
-            self._send(201, {"article_id": record["article_id"]})
+        for op, route in ROUTES.items():
+            match = route.method == method and route.pattern.fullmatch(split.path)
+            if not match:
+                continue
+            if method == "GET":
+                params = {k: v[0] for k, v in parse_qs(split.query).items()}
+            elif "body" in route.params:
+                params = {"name": self.headers.get(FILE_NAME_HEADER), "body": raw}
+            else:
+                params = self._read_json(raw)
+            params.update((k, int(v)) for k, v in match.groupdict().items())
+            self._send(route.status, self.server.depot.handle(op, params))
             return
-
-        if method == "GET" and path == "/v1/articles/search":
-            values = parse_qs(split.query).get("tag", [])
-            tag = values[0] if values else None
-            items = depot.handle("search_by_tag", {"tag": tag})
-            self._send(200, {"items": items})
-            return
-
-        match = _ARTICLE_PATH.match(path)
-        if method == "GET" and match:
-            record = depot.handle("get_article", {"article_id": int(match.group(1))})
-            self._send(200, record)
-            return
-
-        match = _ACTION_PATH.match(path)
-        if method == "POST" and match:
-            article_id = int(match.group(1))
-            action = match.group(2)
-            if action == "files":
-                entry = depot.handle(
-                    "upload_file",
-                    {
-                        "article_id": article_id,
-                        "name": self.headers.get("X-File-Name"),
-                        "content": raw,
-                    },
-                )
-                self._send(201, entry)
-                return
-            if action == "tags":
-                body = self._read_json(raw)
-                record = depot.handle(
-                    "add_tag", {"article_id": article_id, "tag": body.get("tag")}
-                )
-                self._send(200, record)
-                return
-            if action == "authors":
-                body = self._read_json(raw)
-                record = depot.handle(
-                    "add_authors",
-                    {"article_id": article_id, "author_ids": body.get("author_ids")},
-                )
-                self._send(200, record)
-                return
-            if action == "publish":
-                self._read_json(raw)
-                result = depot.handle("publish_article", {"article_id": article_id})
-                self._send(200, result)
-                return
-
-        self._send_error_kind("NotFound")
+        raise NotFound(f"no route for {method} {split.path}")
 
     def do_GET(self):
         self._dispatch("GET")

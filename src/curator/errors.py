@@ -79,23 +79,25 @@ class IoError(CuratorError):
     """A local file could not be read or written."""
 
 
-_WIRE_KINDS = {
-    cls.__name__: cls
-    for cls in (
-        AuthFailure,
-        InvalidMeta,
-        NotFound,
-        Conflict,
-        AlreadyMinted,
-        NothingToPublish,
-    )
+# The error kinds that cross the wire, each with the status the facade
+# answers it with. For a body without a known kind the client falls back
+# to the first kind listed for the status, so Conflict leads the 409s.
+STATUS_BY_KIND = {
+    AuthFailure: 401,
+    NotFound: 404,
+    Conflict: 409,
+    AlreadyMinted: 409,
+    NothingToPublish: 409,
+    InvalidMeta: 422,
 }
 
-_BY_STATUS = {401: AuthFailure, 404: NotFound, 409: Conflict, 422: InvalidMeta}
+_WIRE_KINDS = {cls.__name__: cls for cls in STATUS_BY_KIND}
+
+_BY_STATUS = {status: cls for cls, status in reversed(STATUS_BY_KIND.items())}
 
 
 def wire_error(kind: str | None, status: int) -> type[CuratorError]:
     """Map a wire-level error body/status to the matching exception class."""
-    if kind in _WIRE_KINDS:
+    if isinstance(kind, str) and kind in _WIRE_KINDS:
         return _WIRE_KINDS[kind]
     return _BY_STATUS.get(status, TransportError)

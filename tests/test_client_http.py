@@ -155,6 +155,33 @@ def test_error_mapping_falls_back_to_status():
         handle("GET", "/x", FakeResponse(503, body=b"upstream sad"))
 
 
+def test_non_json_success_body_is_transport_error():
+    handle = HttpDepotClient._handle_response
+    with pytest.raises(TransportError):
+        handle("GET", "/x", FakeResponse(200, body=b"<html>proxy page</html>"))
+
+
+def test_non_object_error_body_falls_back_to_status():
+    handle = HttpDepotClient._handle_response
+    with pytest.raises(NotFound):
+        handle("GET", "/x", FakeResponse(404, [1]))
+    with pytest.raises(NotFound):
+        handle("GET", "/x", FakeResponse(404, {"error": ["NotFound"]}))
+    with pytest.raises(Conflict):
+        handle("POST", "/x", FakeResponse(409, "NothingToPublish"))
+    with pytest.raises(TransportError):
+        handle("GET", "/x", FakeResponse(502, [1]))
+
+
+def test_malformed_success_reply_is_transport_error(monkeypatch):
+    client = make_client()
+    monkeypatch.setattr(client._session, "request", lambda *a, **k: FakeResponse(200, [1]))
+    with pytest.raises(TransportError):
+        client.get_article(1)
+    with pytest.raises(TransportError):
+        client.publish_article(1)
+
+
 def test_wire_error_prefers_body_kind_over_status():
     assert wire_error("NothingToPublish", 409) is NothingToPublish
     assert wire_error("AlreadyMinted", 409).__name__ == "AlreadyMinted"

@@ -9,8 +9,10 @@ import requests
 from conftest import TOKEN, client_config
 
 from curator.client import (
+    ROUTES,
     ArticleMeta,
     ArticleRecord,
+    DepotClient,
     FileEntry,
     HttpDepotClient,
     file_entry_to_wire,
@@ -229,6 +231,32 @@ def s_two_articles_distinct(p):
     p.do("publish_article", b.article_id)
 
 
+def s_create_non_list_tags(p):
+    p.do("create_article", meta(tags="abc"))
+
+
+def s_create_tuple_tags(p):
+    record = p.do("create_article", meta(tags=("x", "y")))
+    p.do("get_article", record.article_id)
+
+
+def s_add_authors_non_list(p):
+    record = p.do("create_article", meta())
+    p.do("add_authors", record.article_id, 5)
+
+
+def s_add_authors_not_json(p):
+    record = p.do("create_article", meta())
+    p.do("add_authors", record.article_id, {7})
+    p.do("add_authors", record.article_id + 1, {7})
+    p.do("create_article", meta(tags=["a", object()]))
+
+
+def s_search_non_text_tag(p):
+    p.do("search_by_tag", 5)
+    p.do("search_by_tag", None)
+
+
 def s_tag_change_reopens_published(p):
     record = p.do("create_article", meta())
     p.do("publish_article", record.article_id)
@@ -268,6 +296,11 @@ SCENARIOS = [
     s_full_workflow,
     s_two_articles_distinct,
     s_tag_change_reopens_published,
+    s_create_non_list_tags,
+    s_create_tuple_tags,
+    s_add_authors_non_list,
+    s_add_authors_not_json,
+    s_search_non_text_tag,
 ]
 
 
@@ -462,6 +495,53 @@ def test_keepalive_connection_survives_an_error(http_server):
         timeout=5,
     )
     assert good.status_code == 201
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_unreadable_content_length_is_422_and_closes(http_server, length):
+    host, port = http_server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(
+            b"POST /v1/articles HTTP/1.1\r\nHost: depot\r\n"
+            + f"Authorization: token {TOKEN}\r\nContent-Length: {length}\r\n\r\n".encode()
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 422 ")
+    assert b"Connection: close" in head
+    assert json.loads(body) == {"error": "InvalidMeta"}
+
+
+def test_route_table_covers_the_contract():
+    served = {"upload_bytes" if op == "upload_file" else op for op in DepotClient.__abstractmethods__}
+    assert set(ROUTES) == served
+
+
+def test_each_route_answers_its_declared_status(http_server, http_client, tmp_path, monkeypatch):
+    answered = []
+    handle = HttpDepotClient._handle_response
+
+    def record(method, path, response):
+        answered.append((method, path.partition("?")[0], response.status_code))
+        return handle(method, path, response)
+
+    monkeypatch.setattr(HttpDepotClient, "_handle_response", staticmethod(record))
+    article = http_client.create_article(meta(tags=["t"]))
+    (tmp_path / "a.dat").write_bytes(b"a")
+    http_client.upload_file(article.article_id, tmp_path / "a.dat")
+    http_client.search_by_tag("t")
+    http_client.add_tag(article.article_id, "u")
+    http_client.add_authors(article.article_id, [1])
+    http_client.publish_article(article.article_id)
+    for op, route in ROUTES.items():
+        statuses = {
+            status
+            for method, path, status in answered
+            if method == route.method and route.pattern.fullmatch(path)
+        }
+        assert statuses == {route.status}, op
 
 
 def test_bind_error_on_occupied_port():
