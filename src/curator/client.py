@@ -23,7 +23,7 @@ from urllib.parse import quote, urlencode, urlparse
 
 import requests
 
-from .errors import IoError, TransportError, wire_error
+from .errors import IoError, NotFound, TransportError, wire_error
 
 logger = logging.getLogger(__name__)
 
@@ -265,6 +265,8 @@ class HttpDepotClient(DepotClient):
         self._timeout = timeout
         self._session = requests.Session()
         self._session.headers["Authorization"] = f"token {config.token}"
+        # Any auth set here stops requests replacing that header with ~/.netrc credentials.
+        self._session.auth = lambda request: request
 
     def _request(self, method: str, path: str, *, data=None, headers=None):
         url = f"{self._base}{path}"
@@ -307,9 +309,11 @@ class HttpDepotClient(DepotClient):
         """Send one operation as its route declares and parse the reply."""
         route = ROUTES[op]
         fields = args_to_wire(route.params, args)
-        path = route.path.format(**fields)
-        for name in route.pattern.groupindex:
-            del fields[name]
+        ids = {name: fields.pop(name) for name in route.pattern.groupindex}
+        # Exactly int, as in process: True, 1.0 and "1" name no article.
+        if any(type(value) is not int for value in ids.values()):
+            raise NotFound(f"no such article: {ids}")
+        path = route.path.format(**ids)
         # A value the wire cannot carry arrives as missing (a non-text query
         # value) or null (in JSON), for the depot to reject as it would the value.
         data = headers = None

@@ -131,7 +131,8 @@ class Depot(DepotClient):
     # -- helpers -----------------------------------------------------
 
     def _get(self, article_id: int) -> StoredArticle:
-        article = self.state.articles.get(article_id)
+        # Exactly int, as over HTTP: True and 1.0 would otherwise find article 1.
+        article = self.state.articles.get(article_id) if type(article_id) is int else None
         if article is None:
             raise NotFound(f"no such article: {article_id}")
         return article

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import socket
+import statistics
+import time
 
 import pytest
 import requests
@@ -265,6 +267,28 @@ def s_tag_change_reopens_published(p):
     p.do("get_article", record.article_id)
 
 
+def _ids_that_are_not_int(p, article_id):
+    record = p.do("create_article", meta())
+    p.do("get_article", article_id)
+    p.do("add_tag", article_id, "t")
+    p.do("add_authors", article_id, [7])
+    p.do("upload_file", article_id, p.file(b"x"))
+    p.do("publish_article", article_id)
+    p.do("get_article", record.article_id)
+
+
+def s_bool_article_id(p):
+    _ids_that_are_not_int(p, True)
+
+
+def s_float_article_id(p):
+    _ids_that_are_not_int(p, 1.0)
+
+
+def s_text_article_id(p):
+    _ids_that_are_not_int(p, "1")
+
+
 SCENARIOS = [
     s_create_roundtrip,
     s_create_empty_title,
@@ -301,6 +325,9 @@ SCENARIOS = [
     s_add_authors_non_list,
     s_add_authors_not_json,
     s_search_non_text_tag,
+    s_bool_article_id,
+    s_float_article_id,
+    s_text_article_id,
 ]
 
 
@@ -361,6 +388,43 @@ def test_wrong_scheme_is_401(http_server):
         timeout=5,
     )
     assert response.status_code == 401
+
+
+def test_non_ascii_authorization_is_401(http_server):
+    host, port = http_server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(
+            b"GET /v1/articles/1 HTTP/1.1\r\nHost: depot\r\n"
+            b"Authorization: token \xe9\r\nConnection: close\r\n\r\n"
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 401 ")
+    assert json.loads(body) == {"error": "AuthFailure"}
+
+
+def test_netrc_entry_does_not_replace_the_token(http_client, tmp_path, monkeypatch):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login someone password other\n")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    record = http_client.create_article(meta())
+    assert http_client.get_article(record.article_id) == record
+
+
+def test_keepalive_calls_answer_without_a_delayed_ack_stall(http_client):
+    # With Nagle's algorithm on the facade, each reply body waits for the
+    # client's delayed ACK, about 40 ms a call. The median tolerates one
+    # slow call on a busy machine.
+    article_id = http_client.create_article(meta()).article_id
+    durations = []
+    for _ in range(20):
+        start = time.perf_counter()
+        http_client.get_article(article_id)
+        durations.append(time.perf_counter() - start)
+    assert statistics.median(durations) < 0.020
 
 
 AUTH = {"Authorization": f"token {TOKEN}"}
