@@ -2,9 +2,11 @@
 
 A small state machine that implements the full :class:`DepotClient`
 contract so the publication workflow can run with no network at all.
-Every mutation is appended to an op log for test observability, and the
-current article records can optionally persist to a JSONL file so a
-restarted process sees the same articles. The HTTP facade reaches it
+Every mutation is appended to an op log for test observability and, when
+a state file is given, as one line to an append-only JSONL log: the
+touched article's record in wire form. Replaying that log restores heads,
+published versions and pending changes in a restarted process; file bytes
+stay process-local. The HTTP facade reaches it
 through :meth:`Depot.handle`, which decodes, calls and encodes with the
 operation table in :mod:`curator.client`.
 """
@@ -117,8 +119,10 @@ class Depot(DepotClient):
 
     All operations are serialized behind one lock, so concurrent callers
     observe a single linear history (the op log). Pass ``state_path`` to
-    persist article records across restarts; the op log, version history
-    and file bytes are process-local and start fresh each run.
+    persist the depot across restarts as an append-only log, one record
+    line per mutation: article records, published versions and pending
+    changes survive; the op log and file bytes are process-local and
+    start fresh each run.
     """
 
     def __init__(self, state_path=None):
@@ -149,35 +153,55 @@ class Depot(DepotClient):
         self._save()
 
     def _save(self) -> None:
+        """Append the head of the article the newest op-log entry touched."""
         if self._state_path is None:
             return
-        lines = [
-            json.dumps(record_to_wire(article.head), sort_keys=True)
-            for _, article in sorted(self.state.articles.items())
-        ]
-        tmp = self._state_path.with_name(self._state_path.name + ".tmp")
-        tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        os.replace(tmp, self._state_path)
+        head = self.state.articles[self.state.op_log[-1][1]].head
+        line = json.dumps(record_to_wire(head), sort_keys=True) + "\n"
+        with open(self._state_path, "ab") as handle:
+            handle.write(line.encode("utf-8"))
 
     def _load(self) -> None:
-        text = self._state_path.read_text(encoding="utf-8")
-        max_file_id = 0
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            record = record_from_wire(json.loads(line))
-            self.state.articles[record.article_id] = StoredArticle(
-                head=record,
-                doi=record.doi,
-                dirty=False,
+        """Replay the log: an article's last line is its head, the first line
+        at each published version is that version's snapshot, and a later
+        line at the same version means changes are pending."""
+        data = self._state_path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        torn = len(data) - end
+        if torn:
+            logger.warning(
+                "dropping %d byte(s) of a torn final line in %s", torn, self._state_path
             )
-            for entry in record.files:
-                max_file_id = max(max_file_id, entry.file_id)
+            os.truncate(self._state_path, end)
+        lines = [line for line in data[:end].decode("utf-8").splitlines() if line.strip()]
+        max_file_id = 0
+        for line in lines:
+            record = record_from_wire(json.loads(line))
+            article = self.state.articles.get(record.article_id)
+            if article is None:
+                article = self.state.articles[record.article_id] = StoredArticle(record)
+            article.head = record
+            article.doi = record.doi
+            if record.status == "published":
+                versions = article.published_versions
+                article.dirty = bool(versions) and versions[-1].version == record.version
+                if not article.dirty:
+                    # FileEntry objects are never mutated in place, so copying
+                    # the lists is enough to keep the snapshot frozen.
+                    meta = replace(record.meta, tags=list(record.meta.tags))
+                    versions.append(Snapshot(record.version, list(record.files), meta))
+            max_file_id = max([max_file_id, *(entry.file_id for entry in record.files)])
         if self.state.articles:
             self.state.next_article_id = max(self.state.articles) + 1
         self.state.next_file_id = max_file_id + 1
         logger.info(
-            "loaded %d article(s) from %s", len(self.state.articles), self._state_path
+            "loaded %d article(s) from %s: %d line(s) replayed, %d with unpublished"
+            " changes, %d torn byte(s) dropped",
+            len(self.state.articles),
+            self._state_path,
+            len(lines),
+            sum(article.dirty for article in self.state.articles.values()),
+            torn,
         )
 
     # -- contract operations -----------------------------------------

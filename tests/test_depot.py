@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import logging
 import random
 
 import pytest
@@ -293,6 +294,111 @@ def test_state_file_is_wire_format_jsonl(tmp_path):
         "files",
         "authors",
     }
+
+
+
+def test_restart_between_upload_and_publish_keeps_the_pending_change(tmp_path):
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
+    article_id = depot.create_article(meta()).article_id
+    depot.upload_bytes(article_id, "a.dat", b"first")
+    depot.publish_article(article_id)
+    depot.upload_bytes(article_id, "b.dat", b"second")
+
+    reloaded = Depot(state_path=state)
+    assert reloaded.publish_article(article_id) == (f"{DOI_PREFIX}.{article_id}", 2)
+    record = reloaded.get_article(article_id)
+    assert [f.name for f in record.files] == ["a.dat", "b.dat"]
+    first, second = reloaded.state.articles[article_id].published_versions
+    assert (first.version, [f.name for f in first.files]) == (1, ["a.dat"])
+    assert (second.version, [f.name for f in second.files]) == (2, ["a.dat", "b.dat"])
+
+
+def test_published_versions_survive_restart_unchanged(tmp_path):
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
+    article_id = depot.create_article(meta(tags=["x"])).article_id
+    depot.upload_bytes(article_id, "a.dat", b"v1")
+    depot.publish_article(article_id)
+    depot.upload_bytes(article_id, "a.dat", b"v2")
+    depot.add_tag(article_id, "y")
+    depot.publish_article(article_id)
+    stored = depot.state.articles[article_id]
+
+    reloaded = Depot(state_path=state).state.articles[article_id]
+    assert reloaded.published_versions == stored.published_versions
+    assert (reloaded.doi, reloaded.dirty) == (stored.doi, False)
+    # the snapshot is a copy: changing the head leaves it as published
+    Depot(state_path=state).upload_bytes(article_id, "a.dat", b"v3")
+    again = Depot(state_path=state).state.articles[article_id]
+    assert again.published_versions == stored.published_versions
+    assert again.dirty
+
+
+def test_torn_final_line_is_dropped_and_truncated(tmp_path, caplog):
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
+    article_id = depot.create_article(meta()).article_id
+    depot.upload_bytes(article_id, "a.dat", b"payload")
+    depot.publish_article(article_id)
+    before = record_to_wire(depot.get_article(article_id))
+    intact = state.read_bytes()
+    half = intact.splitlines(keepends=True)[-1][:40]
+    state.write_bytes(intact + half)
+
+    with caplog.at_level(logging.WARNING, logger="curator.depot"):
+        reloaded = Depot(state_path=state)
+    assert any("torn" in r.message and r.levelno == logging.WARNING for r in caplog.records)
+    assert state.read_bytes() == intact
+    assert record_to_wire(reloaded.get_article(article_id)) == before
+    with pytest.raises(NothingToPublish):
+        reloaded.publish_article(article_id)
+    # the next append starts a clean line
+    reloaded.add_tag(article_id, "later")
+    assert Depot(state_path=state).publish_article(article_id)[1] == 2
+
+
+def test_snapshot_form_state_loads_with_nothing_pending(tmp_path):
+    # one published record per article, as the whole-file rewrite wrote it
+    source = Depot()
+    for title in ("first", "second"):
+        article_id = source.create_article(meta(title=title, tags=[title])).article_id
+        source.upload_bytes(article_id, f"{title}.dat", title.encode())
+        source.add_authors(article_id, [7])
+        source.publish_article(article_id)
+    replies = {i: record_to_wire(a.head) for i, a in source.state.articles.items()}
+    state = tmp_path / "depot.jsonl"
+    state.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in replies.values()))
+
+    depot = Depot(state_path=state)
+    assert {i: record_to_wire(depot.get_article(i)) for i in replies} == replies
+    assert not any(article.dirty for article in depot.state.articles.values())
+    for article_id in replies:
+        with pytest.raises(NothingToPublish):
+            depot.publish_article(article_id)
+
+    depot.upload_bytes(1, "extra.dat", b"extra")
+    reloaded = Depot(state_path=state)
+    assert reloaded.publish_article(1) == (f"{DOI_PREFIX}.1", 2)
+    assert reloaded.upload_bytes(2, "z.dat", b"z").file_id == 4
+    assert len(state.read_text().splitlines()) == 5
+
+
+def test_load_reports_what_it_replayed(tmp_path, caplog):
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
+    published = depot.create_article(meta()).article_id
+    depot.publish_article(published)
+    depot.create_article(meta(title="draft"))
+    state.write_bytes(state.read_bytes() + b'{"article_id"')
+
+    with caplog.at_level(logging.INFO, logger="curator.depot"):
+        Depot(state_path=state)
+    (message,) = [r.message for r in caplog.records if r.levelno == logging.INFO]
+    assert message.startswith("loaded 2 article(s) from ")
+    assert message.endswith(
+        "4 line(s) replayed, 1 with unpublished changes, 13 torn byte(s) dropped"
+    )
 
 
 class ModelDepot:

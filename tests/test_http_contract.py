@@ -357,6 +357,51 @@ def test_contract_parity(scenario, tmp_path):
     assert direct_depot.state.op_log == facade_depot.state.op_log
 
 
+
+class RestartingDepot:
+    """Serves every call from a depot freshly loaded from its state file,
+    as if the process restarted between operations."""
+
+    def __init__(self, state_path):
+        self.state_path = state_path
+        self.op_log = []
+
+    def __getattr__(self, op):
+        def call(*args):
+            depot = Depot(state_path=self.state_path)
+            try:
+                return getattr(depot, op)(*args)
+            finally:
+                self.op_log.extend(depot.state.op_log)
+
+        return call
+
+
+def _persisted(article):
+    return record_to_wire(article.head), article.published_versions, article.doi, article.dirty
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__[2:])
+def test_contract_holds_across_restarts(scenario, tmp_path):
+    steady_depot = Depot()
+    steady = Probe(steady_depot, tmp_path / "steady")
+    steady.workdir.mkdir()
+    scenario(steady)
+
+    state = tmp_path / "depot.jsonl"
+    restarting_depot = RestartingDepot(state)
+    restarting = Probe(restarting_depot, tmp_path / "restarting")
+    restarting.workdir.mkdir()
+    scenario(restarting)
+
+    assert restarting.log == steady.log
+    assert restarting_depot.op_log == steady_depot.state.op_log
+    reloaded = Depot(state_path=state) if state.exists() else Depot()
+    assert {i: _persisted(a) for i, a in reloaded.state.articles.items()} == {
+        i: _persisted(a) for i, a in steady_depot.state.articles.items()
+    }
+
+
 def test_scenario_count_covers_contract():
     assert len(SCENARIOS) >= 20
 
