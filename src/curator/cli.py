@@ -104,8 +104,10 @@ def _stage_software(args, publisher: Publisher) -> None:
     project = Path(args.project)
     _options_for_publish(project)
     repo = Path(args.repo)
-    commit = resolve_software_version(project.parent, repo, args.version_header)
     info = inspect_repo(repo)
+    commit = info.head
+    if args.version_header:
+        commit = resolve_software_version(project.parent, repo, args.version_header)
     name = args.name or repo.resolve().name
     result = publisher.publish_software(
         SoftwareIdentity(
@@ -127,11 +129,10 @@ def _stage_fileset(args, publisher: Publisher, slot: str) -> None:
     options = _options_for_publish(project)
     state = options.slot(slot)
     name = read_simulation_name(project)
-
-    if slot == "output":
-        _inject_output_provenance(args, publisher, project, options)
-
     paths = expand_patterns(state.patterns, project.parent)
+    if slot == "output":
+        stats = [path for path in paths if path.suffix == ".stat"]
+        _inject_output_provenance(args, publisher, options, stats)
     if not paths:
         raise IoError(
             f"no files in {project.parent} match the {slot} patterns {';'.join(state.patterns)}"
@@ -152,7 +153,7 @@ def _stage_fileset(args, publisher: Publisher, slot: str) -> None:
     _print_result(result.article_id, result.doi)
 
 
-def _inject_output_provenance(args, publisher: Publisher, project: Path, options) -> None:
+def _inject_output_provenance(args, publisher: Publisher, options, stats: list[Path]) -> None:
     software = options.slot("software")
     if software.doi is None:
         raise MissingProvenance("software DOI not yet recorded")
@@ -171,11 +172,6 @@ def _inject_output_provenance(args, publisher: Publisher, project: Path, options
         input_doi=options.slot("input").doi,
         name_prefix=args.constant_prefix,
     )
-    stats = [
-        path
-        for path in expand_patterns(options.slot("output").patterns, project.parent)
-        if path.suffix == ".stat"
-    ]
     for path in stats:
         inject_provenance(path, constants)
     if stats:

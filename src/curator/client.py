@@ -210,15 +210,24 @@ def read_local_file(local_path) -> bytes:
 
 
 class DepotClient(ABC):
-    """Operations every depot backend must support."""
+    """Operations every depot backend must support.
+
+    The abstract methods are the contract, one per entry of :data:`ROUTES`.
+    :meth:`upload_file` is the one convenience on top of it: it reads a
+    local file and hands its bytes to :meth:`upload_bytes`.
+    """
 
     @abstractmethod
     def create_article(self, meta: ArticleMeta) -> ArticleRecord:
         """Create a draft article and return its initial record."""
 
     @abstractmethod
+    def upload_bytes(self, article_id: int, name: str, body: bytes) -> FileEntry:
+        """Store file bytes under a name, replacing any entry with the same name."""
+
     def upload_file(self, article_id: int, local_path) -> FileEntry:
-        """Upload a local file, replacing any entry with the same name."""
+        """Upload a local file under its base name."""
+        return self.upload_bytes(article_id, Path(local_path).name, read_local_file(local_path))
 
     @abstractmethod
     def search_by_tag(self, tag: str) -> list[ArticleRecord]:
@@ -246,9 +255,10 @@ class HttpDepotClient(DepotClient):
     """Depot client over HTTP.
 
     Connection errors and timeouts are retried with the RETRY_BACKOFF
-    schedule before raising TransportError; every other failure maps to
-    the error kind named in the response body. All calls carry a bounded
-    timeout, so no operation blocks indefinitely.
+    schedule before raising TransportError, except a POST whose reply timed
+    out: the depot may already have applied it, so it is not sent again.
+    Every other failure maps to the error kind named in the response body.
+    All calls carry a bounded timeout, so no operation blocks indefinitely.
     """
 
     def __init__(self, config: ClientConfig, timeout: float = DEFAULT_TIMEOUT):
@@ -276,9 +286,10 @@ class HttpDepotClient(DepotClient):
                     method, url, data=data, headers=headers, timeout=self._timeout
                 )
             except (requests.ConnectionError, requests.Timeout) as exc:
-                if delay is None:
+                maybe_applied = method == "POST" and isinstance(exc, requests.ReadTimeout)
+                if delay is None or maybe_applied:
                     raise TransportError(
-                        f"{method} {url} failed after retries: {exc.__class__.__name__}"
+                        f"{method} {url} failed: {exc.__class__.__name__}"
                     ) from exc
                 logger.warning(
                     "transport failure on %s %s; retrying in %.1fs", method, url, delay
@@ -335,9 +346,8 @@ class HttpDepotClient(DepotClient):
     def create_article(self, meta: ArticleMeta) -> ArticleRecord:
         return self.get_article(self._call("create_article", meta))
 
-    def upload_file(self, article_id: int, local_path) -> FileEntry:
-        body = read_local_file(local_path)
-        return self._call("upload_bytes", article_id, Path(local_path).name, body)
+    def upload_bytes(self, article_id: int, name: str, body: bytes) -> FileEntry:
+        return self._call("upload_bytes", article_id, name, body)
 
     def search_by_tag(self, tag: str) -> list[ArticleRecord]:
         return self._call("search_by_tag", tag)

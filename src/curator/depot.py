@@ -29,11 +29,10 @@ from .client import (
     DepotClient,
     FileEntry,
     args_from_wire,
-    read_local_file,
     record_from_wire,
     record_to_wire,
 )
-from .errors import AlreadyMinted, InvalidMeta, NotFound, NothingToPublish
+from .errors import AlreadyMinted, InvalidMeta, NotFound, NothingToPublish, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -43,25 +42,18 @@ DOI_PREFIX = "10.5072/mockdepot"
 
 
 @dataclass
-class Snapshot:
-    """Frozen copy of one published version; never mutated once stored."""
-
-    version: int
-    files: list[FileEntry]
-    meta: ArticleMeta
-
-
-@dataclass
 class StoredArticle:
     """Server-side state for one article.
 
     ``doi`` holds the minted value; it appears on ``head`` only once the
     first publish completes. ``dirty`` tracks whether changes are pending
-    since the last publish.
+    since the last publish. ``published_versions`` holds, per published
+    version, a copy of the record ``get_article`` returned right after that
+    publish; the copies share no list with ``head`` and are never mutated.
     """
 
     head: ArticleRecord
-    published_versions: list[Snapshot] = field(default_factory=list)
+    published_versions: list[ArticleRecord] = field(default_factory=list)
     doi: str | None = None
     dirty: bool = True
     blobs: dict[int, bytes] = field(default_factory=dict)
@@ -163,20 +155,25 @@ class Depot(DepotClient):
 
     def _load(self) -> None:
         """Replay the log: an article's last line is its head, the first line
-        at each published version is that version's snapshot, and a later
-        line at the same version means changes are pending."""
+        at each published version is that version's frozen record, and a
+        later line at the same version means changes are pending."""
         data = self._state_path.read_bytes()
         end = data.rfind(b"\n") + 1
-        torn = len(data) - end
-        if torn:
-            logger.warning(
-                "dropping %d byte(s) of a torn final line in %s", torn, self._state_path
-            )
-            os.truncate(self._state_path, end)
-        lines = [line for line in data[:end].decode("utf-8").splitlines() if line.strip()]
-        max_file_id = 0
-        for line in lines:
-            record = record_from_wire(json.loads(line))
+        replayed = max_file_id = 0
+        for number, line in enumerate(data[:end].split(b"\n"), 1):
+            if not line.strip():
+                continue
+            try:
+                record = record_from_wire(json.loads(line.decode("utf-8")))
+                if type(record.article_id) is not int or type(record.version) is not int:
+                    raise TypeError("article_id and version must be integers")
+                max_file_id = max([max_file_id, *(entry.file_id for entry in record.files)])
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ParseError(
+                    f"{self._state_path}, line {number}: not a depot record"
+                    f" ({exc.__class__.__name__})"
+                ) from exc
+            replayed += 1
             article = self.state.articles.get(record.article_id)
             if article is None:
                 article = self.state.articles[record.article_id] = StoredArticle(record)
@@ -187,10 +184,18 @@ class Depot(DepotClient):
                 article.dirty = bool(versions) and versions[-1].version == record.version
                 if not article.dirty:
                     # FileEntry objects are never mutated in place, so copying
-                    # the lists is enough to keep the snapshot frozen.
+                    # the lists is enough to keep the published record frozen.
                     meta = replace(record.meta, tags=list(record.meta.tags))
-                    versions.append(Snapshot(record.version, list(record.files), meta))
-            max_file_id = max([max_file_id, *(entry.file_id for entry in record.files)])
+                    versions.append(ArticleRecord(
+                        record.article_id, meta, record.status, record.version,
+                        record.doi, list(record.files), list(record.authors),
+                    ))
+        torn = len(data) - end
+        if torn:
+            logger.warning(
+                "dropping %d byte(s) of a torn final line in %s", torn, self._state_path
+            )
+            os.truncate(self._state_path, end)
         if self.state.articles:
             self.state.next_article_id = max(self.state.articles) + 1
         self.state.next_file_id = max_file_id + 1
@@ -199,7 +204,7 @@ class Depot(DepotClient):
             " changes, %d torn byte(s) dropped",
             len(self.state.articles),
             self._state_path,
-            len(lines),
+            replayed,
             sum(article.dirty for article in self.state.articles.values()),
             torn,
         )
@@ -239,10 +244,6 @@ class Depot(DepotClient):
             article.dirty = True
             self._log("upload_file", article_id, name)
             return FileEntry(**vars(entry))
-
-    def upload_file(self, article_id: int, local_path) -> FileEntry:
-        body = read_local_file(local_path)
-        return self.upload_bytes(article_id, Path(local_path).name, body)
 
     def search_by_tag(self, tag: str) -> list[ArticleRecord]:
         with self._lock:
@@ -303,10 +304,7 @@ class Depot(DepotClient):
             article.head.version += 1
             article.head.status = "published"
             article.head.doi = doi
-            frozen = self._copy_record(article.head)
-            article.published_versions.append(
-                Snapshot(version=frozen.version, files=frozen.files, meta=frozen.meta)
-            )
+            article.published_versions.append(self._copy_record(article.head))
             article.dirty = False
             self._log("publish_article", article_id, f"version={article.head.version}")
             return doi, article.head.version

@@ -165,33 +165,22 @@ def write_publication_ids(project_path, slot: str, article_id: int, doi: str) ->
     _parse_project(text, path)
 
     slot_re = re.compile(rf"<{slot}(\s[^<>]*?)?(/?)>")
-    match = slot_re.search(text)
-    if match:
-        attrs = match.group(1) or ""
-        attrs = _set_attr(attrs, "article_id", str(article_id))
-        attrs = _set_attr(attrs, "doi", doi)
-        replacement = f"<{slot}{attrs}{match.group(2)}>"
-        updated = text[: match.start()] + replacement + text[match.end() :]
-    else:
+    edited = text
+    match = slot_re.search(edited)
+    if match is None:
         open_match = re.search(r"([ \t]*)<publish\b[^<>]*?(/?)>", text)
         if open_match is None:
             raise SchemaError(f"{path}: no <publish> element to record ids in")
         if open_match.group(2) == "/":
             raise SchemaError(f"{path}: <publish> is self-closing, cannot hold slots")
-        element = (
-            f'<{slot} article_id="{article_id}" doi="{escape(doi, {chr(34): "&quot;"})}"/>'
-        )
         indent = open_match.group(1) + "  "
-        updated = (
-            text[: open_match.end()]
-            + "\n"
-            + indent
-            + element
-            + text[open_match.end() :]
-        )
-
-    _parse_project(updated, path)
+        edited = f"{text[: open_match.end()]}\n{indent}<{slot}/>{text[open_match.end() :]}"
+        match = slot_re.search(edited)
+    attrs = _set_attr(match.group(1) or "", "article_id", str(article_id))
+    attrs = _set_attr(attrs, "doi", doi)
+    updated = f"{edited[: match.start()]}<{slot}{attrs}{match.group(2)}>{edited[match.end() :]}"
     if updated != text:
+        _parse_project(updated, path)
         _write_text_atomic(path, updated)
 
 

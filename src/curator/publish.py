@@ -253,18 +253,18 @@ class Publisher:
                 category=self._default_category,
                 tags=list(spec.tags),
             )
-            article_id = self.client.create_article(meta).article_id
+            record = self.client.create_article(meta)
             # A new article has no confirmed uploads yet, whatever stale
             # sidecars say, so everything goes up.
             pending = {path: True for path in paths}
         else:
-            article_id = spec.existing_article_id
-            record = self.client.get_article(article_id)
+            record = self.client.get_article(spec.existing_article_id)
             if record.meta.kind != "fileset":
                 raise KindMismatch(
-                    f"article {article_id} holds {record.meta.kind!r}, not a fileset"
+                    f"article {record.article_id} holds {record.meta.kind!r}, not a fileset"
                 )
             pending = {path: needs_upload(path) for path in paths}
+        article_id = record.article_id
 
         uploaded = []
         skipped = []
@@ -282,7 +282,8 @@ class Publisher:
         try:
             doi, _ = self.client.publish_article(article_id)
         except NothingToPublish:
-            doi = self.client.get_article(article_id).doi
+            # Nothing changed since the record was fetched, so its DOI stands.
+            doi = record.doi
             logger.info("article %s unchanged; keeping %s", article_id, doi)
         return DataResult(article_id, doi, uploaded, skipped)
 

@@ -18,6 +18,7 @@ from conftest import (
     write_project,
 )
 
+import curator.cli as cli
 from curator.cli import run, resolve_software_version
 from curator.depot import Depot
 from curator.errors import ParseError, UnknownRef
@@ -208,6 +209,17 @@ def test_serve_depot_bad_port(capsys):
 def test_serve_depot_needs_token(tmp_path, capsys):
     assert run(["serve-depot", "--bind", "127.0.0.1:0"]) == 1
     assert read_error(capsys).startswith("error: ParseError:")
+
+
+@pytest.mark.parametrize("line", [b"not json", b'{"article_id": 1}', b"\xff\xfe"])
+def test_corrupt_state_file_is_one_line_error(tmp_path, capsys, line):
+    sim = make_sim_dir(tmp_path / "sim")
+    state = tmp_path / "depot.jsonl"
+    state.write_bytes(line + b"\n")
+    assert run(["publish-input", *mock_args(sim / "top_hat.xml", "--state", str(state))]) == 1
+    assert read_error(capsys).startswith(f"error: ParseError: {state}, line 1:")
+    assert run(["serve-depot", "--token", "t", "--bind", "127.0.0.1:0", "--state", str(state)]) == 1
+    assert read_error(capsys).startswith(f"error: ParseError: {state}, line 1:")
 
 
 # -- the staged workflow (mock backend) -----------------------------------
@@ -404,3 +416,40 @@ def test_console_entry_point(tmp_path):
     )
     assert rerun.returncode == 0
     assert "doi=10.5072/mockdepot.1" in rerun.stdout
+
+
+def count_calls(monkeypatch, name):
+    """Count calls to the function the CLI looks up as ``curator.cli.<name>``."""
+    calls = []
+    original = getattr(cli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    return calls
+
+
+def test_software_rerun_inspects_repo_once(tmp_path, capsys, monkeypatch):
+    sim = make_sim_dir(tmp_path / "sim")
+    repo = make_repo(tmp_path / "repo")
+    argv = ["publish-software", *mock_args(sim / "top_hat.xml", "--repo", str(repo))]
+    assert run(argv) == 0
+    inspected = count_calls(monkeypatch, "inspect_repo")
+    assert run(argv) == 0
+    assert "reusing" in capsys.readouterr().out
+    assert len(inspected) == 1
+
+
+def test_output_stage_expands_patterns_once(tmp_path, capsys, monkeypatch):
+    sim = make_sim_dir(tmp_path / "sim")
+    project = sim / "top_hat.xml"
+    repo = make_repo(tmp_path / "repo")
+    assert run(["publish-software", *mock_args(project, "--repo", str(repo))]) == 0
+    assert run(["publish-input", *mock_args(project)]) == 0
+    run_simulation(sim)
+    expanded = count_calls(monkeypatch, "expand_patterns")
+    assert run(["publish-output", *mock_args(project)]) == 0
+    assert "recorded provenance in 1 stat file(s)" in capsys.readouterr().out
+    assert len(expanded) == 1

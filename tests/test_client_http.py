@@ -93,6 +93,36 @@ def test_transient_failure_then_success(monkeypatch):
     assert calls["n"] == 3
 
 
+def read_timeout_counting(monkeypatch):
+    """A client whose every request times out waiting for the reply."""
+    calls, delays = [], []
+
+    def timeout(method, url, **kwargs):
+        calls.append(method)
+        raise requests.ReadTimeout("no reply")
+
+    client = make_client()
+    monkeypatch.setattr(client._session, "request", timeout)
+    monkeypatch.setattr(client_mod.time, "sleep", delays.append)
+    return client, calls, delays
+
+
+def test_post_read_timeout_is_not_retried(monkeypatch):
+    # the depot may have applied the POST already; sending it again would
+    # create a second article or upload
+    client, calls, delays = read_timeout_counting(monkeypatch)
+    with pytest.raises(TransportError):
+        client.publish_article(1)
+    assert (calls, delays) == (["POST"], [])
+
+
+def test_get_read_timeout_is_retried(monkeypatch):
+    client, calls, delays = read_timeout_counting(monkeypatch)
+    with pytest.raises(TransportError):
+        client.get_article(1)
+    assert (calls, delays) == (["GET"] * 4, [0.5, 1.0, 2.0])
+
+
 def test_non_retryable_request_exception(monkeypatch):
     def broken(method, url, **kwargs):
         raise requests.TooManyRedirects("loop")

@@ -16,6 +16,7 @@ from curator.errors import (
     InvalidMeta,
     NotFound,
     NothingToPublish,
+    ParseError,
 )
 
 
@@ -399,6 +400,45 @@ def test_load_reports_what_it_replayed(tmp_path, caplog):
     assert message.endswith(
         "4 line(s) replayed, 1 with unpublished changes, 13 torn byte(s) dropped"
     )
+
+
+def test_published_versions_equal_get_article_at_each_version(depot):
+    article_id = depot.create_article(meta(tags=["x"])).article_id
+    depot.upload_bytes(article_id, "a.dat", b"v1")
+    depot.publish_article(article_id)
+    first = depot.get_article(article_id)
+    depot.upload_bytes(article_id, "b.dat", b"v2")
+    depot.add_tag(article_id, "y")
+    depot.add_authors(article_id, [5])
+    depot.publish_article(article_id)
+    second = depot.get_article(article_id)
+    depot.upload_bytes(article_id, "a.dat", b"pending")
+
+    assert depot.state.articles[article_id].published_versions == [first, second]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"not json",
+        b'{"article_id": 1}',
+        b"\xff\xfe",
+        b"[1]",
+        b'{"article_id": "1", "status": "draft", "version": 0}',
+        b'{"article_id": 1, "status": "published", "version": 1, "files": [{"file_id": "9",'
+        b' "name": "a", "size": 1, "md5": "x"}]}',
+    ],
+)
+def test_corrupt_state_line_is_a_parse_error(tmp_path, line):
+    state = tmp_path / "depot.jsonl"
+    Depot(state_path=state).create_article(meta())
+    state.write_bytes(state.read_bytes() + b"\n" + line + b"\n" + b'{"torn')
+    before = state.read_bytes()
+
+    with pytest.raises(ParseError) as info:
+        Depot(state_path=state)
+    assert str(info.value).startswith(f"{state}, line 3: not a depot record")
+    assert state.read_bytes() == before
 
 
 class ModelDepot:

@@ -292,6 +292,22 @@ def test_publish_data_noop_rerun_skips_publish(tmp_path):
     assert depot.state.op_log == ops_before
 
 
+def test_publish_data_noop_rerun_fetches_the_record_once(tmp_path, monkeypatch):
+    depot = Depot()
+    publisher = Publisher(depot)
+    paths = _data_files(tmp_path)
+    first = publisher.publish_data(FilesetSpec(title="run data", paths=paths))
+    fetched = []
+    get_article = depot.get_article
+    monkeypatch.setattr(depot, "get_article", lambda i: fetched.append(i) or get_article(i))
+
+    again = publisher.publish_data(
+        FilesetSpec(title="run data", paths=paths, existing_article_id=first.article_id)
+    )
+    assert again.doi == first.doi
+    assert fetched == [first.article_id]
+
+
 def test_publish_data_sidecars_match_stored_bytes(tmp_path):
     depot = Depot()
     paths = _data_files(tmp_path, count=4)
