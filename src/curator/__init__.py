@@ -17,7 +17,7 @@ from .client import (
 )
 from .config import PublisherConfig, load_config, resolve_config_path
 from .depot import Depot
-from .depot_http import DepotHttpServer, serve_http
+from .depot_http import DepotHttpServer
 from .errors import CuratorError
 from .gitrepo import RepoInfo, export_archive, inspect_repo, resolve_commit
 from .provenance import (
@@ -75,6 +75,5 @@ __all__ = [
     "read_publish_options",
     "resolve_commit",
     "resolve_config_path",
-    "serve_http",
     "write_publication_ids",
 ]

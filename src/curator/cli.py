@@ -137,14 +137,17 @@ def _stage_fileset(args, publisher: Publisher, slot: str) -> None:
         raise IoError(
             f"no files in {project.parent} match the {slot} patterns {';'.join(state.patterns)}"
         )
-    result = publisher.publish_data(
-        FilesetSpec(
-            title=f"{name} {slot} data",
-            description=f"{slot.capitalize()} data for the {name} simulation.",
-            paths=paths,
-            existing_article_id=state.article_id,
-        )
+    spec = FilesetSpec(
+        title=f"{name} {slot} data",
+        description=f"{slot.capitalize()} data for the {name} simulation.",
+        paths=paths,
+        existing_article_id=state.article_id,
     )
+    if spec.existing_article_id is None:
+        # Recorded before the first upload, so a failed run's draft is resumed.
+        spec.existing_article_id = publisher.create_fileset(spec).article_id
+        write_publication_ids(project, slot, spec.existing_article_id, "")
+    result = publisher.publish_data(spec)
     print(
         f"{slot} data: uploaded {len(result.uploaded)}, "
         f"skipped {len(result.skipped)} of {len(paths)} file(s)"

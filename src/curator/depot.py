@@ -106,6 +106,29 @@ def _validate_file_name(name) -> str:
     return name
 
 
+def _validate_author_ids(author_ids) -> None:
+    if not isinstance(author_ids, (list, tuple)):
+        raise InvalidMeta("author_ids must be a list")
+    for author_id in author_ids:
+        if isinstance(author_id, bool) or not isinstance(author_id, int) or author_id <= 0:
+            raise InvalidMeta("author ids must be positive integers")
+
+
+def _validate_replayed(payload: dict, record: ArticleRecord) -> None:
+    """Hold a replayed state line to the checks the live operations apply.
+    Authors are checked in ``payload``, before ``record_from_wire`` lists them."""
+    if type(record.article_id) is not int or type(record.version) is not int:
+        raise InvalidMeta("article_id and version must be integers")
+    _validate_meta(record.meta)
+    _validate_author_ids(payload.get("authors", []))
+    for entry in record.files:
+        _validate_file_name(entry.name)
+    if record.status not in ("draft", "published"):
+        raise InvalidMeta("status must be draft or published")
+    if record.doi is not None and not isinstance(record.doi, str):
+        raise InvalidMeta("doi must be text or null")
+
+
 class Depot(DepotClient):
     """Reference depot holding all state in memory.
 
@@ -164,14 +187,14 @@ class Depot(DepotClient):
             if not line.strip():
                 continue
             try:
-                record = record_from_wire(json.loads(line.decode("utf-8")))
-                if type(record.article_id) is not int or type(record.version) is not int:
-                    raise TypeError("article_id and version must be integers")
+                payload = json.loads(line.decode("utf-8"))
+                record = record_from_wire(payload)
+                _validate_replayed(payload, record)
                 max_file_id = max([max_file_id, *(entry.file_id for entry in record.files)])
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, InvalidMeta) as exc:
                 raise ParseError(
                     f"{self._state_path}, line {number}: not a depot record"
-                    f" ({exc.__class__.__name__})"
+                    f" ({exc.__class__.__name__}: {exc})"
                 ) from exc
             replayed += 1
             article = self.state.articles.get(record.article_id)
@@ -267,13 +290,7 @@ class Depot(DepotClient):
     def add_authors(self, article_id: int, author_ids) -> ArticleRecord:
         with self._lock:
             article = self._get(article_id)
-            if not isinstance(author_ids, (list, tuple)):
-                raise InvalidMeta("author_ids must be a list")
-            for author_id in author_ids:
-                if isinstance(author_id, bool) or not isinstance(author_id, int):
-                    raise InvalidMeta("author ids must be positive integers")
-                if author_id <= 0:
-                    raise InvalidMeta("author ids must be positive integers")
+            _validate_author_ids(author_ids)
             added = []
             for author_id in author_ids:
                 if author_id not in article.head.authors:

@@ -189,7 +189,3 @@ class DepotHttpServer:
         finally:
             self._httpd.server_close()
 
-
-def serve_http(bind_address: str, depot: Depot | None = None, token: str = "") -> DepotHttpServer:
-    """Start a facade for ``depot`` (a fresh one when omitted) and return it."""
-    return DepotHttpServer(bind_address, depot or Depot(), token).start()

@@ -29,7 +29,6 @@ _REGULAR_MODES = (b"100644", b"100755")
 class RepoInfo:
     """What the publisher needs to know about a local repository."""
 
-    local_path: Path
     head: str
     remote_url: str | None = None
 
@@ -80,7 +79,7 @@ def inspect_repo(local_path) -> RepoInfo:
             logger.warning(
                 "repository %s has %d remote urls; using %s", path, len(lines), key
             )
-    return RepoInfo(local_path=path, head=head, remote_url=remote_url or None)
+    return RepoInfo(head=head, remote_url=remote_url or None)
 
 
 def _commit_timestamp(local_path, commit: str) -> int:

@@ -1,10 +1,12 @@
 """Publication workflows.
 
-Software publication is idempotent: the full commit hash doubles as a
-search tag, so a version that is already on the depot is returned as-is
-instead of being republished. Fileset publication keeps a local MD5
-sidecar per data file and re-uploads only files whose checksum no longer
-matches, which makes repeat runs cheap and crash-safe.
+Every article carries its lookup key from creation, so a fresh run and a
+run resuming a failed one take the same path. A software article is
+created tagged with its full commit hash, so a published revision is
+returned as-is and an interrupted draft is found and completed. A fileset
+is keyed by its article id, recorded by the caller before any upload; a
+file is skipped only when the article holds its name and the file still
+matches its local MD5 sidecar.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .client import ArticleMeta, DepotClient
+from .client import ArticleMeta, ArticleRecord, DepotClient
 from .errors import InvalidMeta, IoError, KindMismatch, NothingToPublish
 from .gitrepo import COMMIT_HASH_RE, export_archive
 
@@ -37,7 +39,6 @@ class SoftwareIdentity:
     name: str
     commit: str
     local_repo: Path
-    category: str = ""
     remote_url: str | None = None
 
 
@@ -185,8 +186,9 @@ class Publisher:
     def publish_software(self, identity: SoftwareIdentity) -> SoftwareResult:
         """Publish one revision, or return the existing publication.
 
-        A draft left behind by an interrupted run is completed rather
-        than duplicated, so the commit hash stays a unique key.
+        The article is created with the commit hash as its tag, so a run
+        that fails at any depot call leaves a draft the next run finds;
+        that draft is completed rather than duplicated.
         """
         if not identity.name or "/" in identity.name:
             raise InvalidMeta(f"software name {identity.name!r} must be a nonempty name")
@@ -194,12 +196,8 @@ class Publisher:
             raise InvalidMeta("commit must be a full 40-hex lowercase hash")
 
         found = self.find_software(identity.name, identity.commit)
-        if found is not None:
-            article_id, doi = found
-            if doi is None:
-                logger.info("completing interrupted publication of article %s", article_id)
-                doi = self._finish_software(article_id, identity)
-            return SoftwareResult(article_id, doi, reused=True)
+        if found is not None and found[1] is not None:
+            return SoftwareResult(*found, reused=True)
 
         description = f"Source code of {identity.name} at revision {identity.commit}."
         if identity.remote_url:
@@ -208,13 +206,10 @@ class Publisher:
             title=f"{identity.name} ({identity.commit[:7]})",
             description=description,
             kind="code",
-            category=identity.category or self._default_category,
+            category=self._default_category,
+            tags=[identity.commit],
         )
-        record = self.client.create_article(meta)
-        doi = self._finish_software(record.article_id, identity)
-        return SoftwareResult(record.article_id, doi, reused=False)
-
-    def _finish_software(self, article_id: int, identity: SoftwareIdentity) -> str:
+        article_id = found[0] if found else self.client.create_article(meta).article_id
         with tempfile.TemporaryDirectory(prefix="curator-") as scratch:
             archive = export_archive(
                 identity.local_repo,
@@ -223,53 +218,50 @@ class Publisher:
                 name=identity.name,
             )
             self.client.upload_file(article_id, archive)
-        self.client.add_tag(article_id, identity.commit)
         authors = parse_authors_file(Path(identity.local_repo) / "AUTHORS")
         if authors:
             self.client.add_authors(
                 article_id, [entry.service_author_id for entry in authors]
             )
         doi, _ = self.client.publish_article(article_id)
-        return doi
+        return SoftwareResult(article_id, doi, reused=found is not None)
 
     # -- data ---------------------------------------------------------
 
-    def publish_data(self, spec: FilesetSpec) -> DataResult:
-        """Publish a fileset, uploading only what actually changed.
+    def create_fileset(self, spec: FilesetSpec) -> ArticleRecord:
+        """Create the draft fileset article that ``spec`` describes."""
+        meta = ArticleMeta(
+            spec.title, spec.description, "fileset", self._default_category, list(spec.tags)
+        )
+        return self.client.create_article(meta)
 
-        A fresh article uploads every path. With ``existing_article_id``
-        the sidecar cache decides per file, the article gains a version
-        and the DOI stays what it was. When nothing changed the publish
-        step is skipped and the previous DOI is returned.
+    def publish_data(self, spec: FilesetSpec) -> DataResult:
+        """Publish a fileset, uploading only what changed.
+
+        Without ``existing_article_id`` a new article is created first. A
+        file is skipped only when the article already holds its name and
+        its sidecar still matches, so a new article gets every file and a
+        resumed draft gets those it never confirmed. The DOI stays the same
+        across versions; when nothing changed, nothing is published.
         """
         paths = [Path(p) for p in spec.paths]
         self._check_fileset(spec, paths)
 
         if spec.existing_article_id is None:
-            meta = ArticleMeta(
-                title=spec.title,
-                description=spec.description,
-                kind="fileset",
-                category=self._default_category,
-                tags=list(spec.tags),
-            )
-            record = self.client.create_article(meta)
-            # A new article has no confirmed uploads yet, whatever stale
-            # sidecars say, so everything goes up.
-            pending = {path: True for path in paths}
+            record = self.create_fileset(spec)
         else:
             record = self.client.get_article(spec.existing_article_id)
-            if record.meta.kind != "fileset":
-                raise KindMismatch(
-                    f"article {record.article_id} holds {record.meta.kind!r}, not a fileset"
-                )
-            pending = {path: needs_upload(path) for path in paths}
+        if record.meta.kind != "fileset":
+            raise KindMismatch(
+                f"article {record.article_id} holds {record.meta.kind!r}, not a fileset"
+            )
         article_id = record.article_id
+        held = {entry.name for entry in record.files}
 
         uploaded = []
         skipped = []
         for path in paths:
-            if not pending[path]:
+            if path.name in held and not needs_upload(path):
                 skipped.append(path)
                 continue
             entry = self.client.upload_file(article_id, path)

@@ -441,6 +441,38 @@ def test_corrupt_state_line_is_a_parse_error(tmp_path, line):
     assert state.read_bytes() == before
 
 
+REPLAYED = {
+    "article_id": 1, "title": "t", "description": "", "kind": "fileset", "category": "",
+    "tags": [], "status": "draft", "version": 0, "doi": None, "files": [], "authors": [],
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"tags": "abc"},
+        {"authors": "12"},
+        {"authors": [0]},
+        {"status": "weird"},
+        {"kind": "nope"},
+        {"title": ""},
+        {"doi": 7},
+        {"files": [{"file_id": 1, "name": "../x", "size": 1, "md5": "0" * 32}]},
+    ],
+    ids=["text-tags", "text-authors", "zero-author", "status", "kind", "empty-title",
+         "number-doi", "path-file-name"],
+)
+def test_replayed_records_meet_the_live_checks(tmp_path, change):
+    state = tmp_path / "depot.jsonl"
+    state.write_text(json.dumps(REPLAYED) + "\n" + json.dumps({**REPLAYED, **change}) + "\n")
+    before = state.read_bytes()
+
+    with pytest.raises(ParseError) as info:
+        Depot(state_path=state)
+    assert str(info.value).startswith(f"{state}, line 2: not a depot record (InvalidMeta: ")
+    assert state.read_bytes() == before
+
+
 class ModelDepot:
     """Brute-force replay oracle: plain dicts, no shared production code."""
 
