@@ -7,14 +7,23 @@ returned as-is and an interrupted draft is found and completed. A fileset
 is keyed by its article id, recorded by the caller before any upload; a
 file is skipped only when the article holds its name and the file still
 matches its local MD5 sidecar.
+
+A sidecar confirmed by an upload or a hash match is stamped with the
+file's mtime, and is trusted from ``os.stat`` alone while the file's ctime
+stays older than the sidecar's. User space cannot set ctime, so a restore
+that keeps the mtime (``cp -p``) or a swapped inode is hashed again; as in
+git's racy-clean rule, a file changed in the clock tick it is read in is
+never stamped.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import re
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -99,15 +108,78 @@ def write_sidecar(path, digest: str) -> None:
 
 
 def needs_upload(path) -> bool:
-    """True when no sidecar exists or the file changed since it was written."""
+    """True when no sidecar exists or the file changed since it was written.
+
+    A sidecar stamped for the file's current mtime and ctime answers
+    without reading the file; otherwise the file is hashed, and a match
+    stamps the sidecar.
+    """
     sidecar = sidecar_path(path)
-    if not sidecar.exists():
+    try:
+        mark = sidecar.stat()
+    except FileNotFoundError:
         return True
+    except OSError as exc:
+        raise IoError(f"cannot read {sidecar}: {exc.strerror or exc}") from exc
+    current = _stat(path)
+    if mark.st_mtime_ns == current.st_mtime_ns and current.st_ctime_ns < mark.st_ctime_ns:
+        return False
     try:
         recorded = sidecar.read_text(encoding="ascii", errors="replace").strip()
     except OSError as exc:
         raise IoError(f"cannot read {sidecar}: {exc.strerror or exc}") from exc
-    return recorded != file_md5(path)
+    now, before = _capture(path, {})
+    if recorded != file_md5(path):
+        return True
+    _stamp(path, before, now)
+    return False
+
+
+def _stat(path) -> os.stat_result:
+    try:
+        return os.stat(path)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _capture(path, clocks: dict) -> tuple[int, os.stat_result]:
+    """Sample the filesystem clock, then stat ``path``; call before reading it.
+
+    The clock is the mtime of ``path``'s directory just after touching it,
+    sampled once per directory in ``clocks`` (an earlier sample is only
+    stricter). A touch costs a fraction of creating a probe file and leaves
+    nothing behind for pattern expansion to find.
+    """
+    directory = Path(path).parent
+    if directory not in clocks:
+        try:
+            os.utime(directory)
+            clocks[directory] = os.stat(directory).st_mtime_ns
+        except OSError:
+            clocks[directory] = 0  # no clock, so nothing from here is stamped
+    return clocks[directory], _stat(path)
+
+
+def _stamp(path, before: os.stat_result, now: int) -> None:
+    """Mark ``path``'s sidecar as confirmed for the file ``before`` describes.
+
+    A file changed in or after the clock tick of ``now`` is left unstamped,
+    and one that moved while it was read gets the sidecar's times reset, so
+    the next check hashes it, as it does a sidecar that cannot be stamped.
+    """
+    if max(before.st_mtime_ns, before.st_ctime_ns) >= now:
+        return
+    sidecar = sidecar_path(path)
+    try:
+        os.utime(sidecar, ns=(now, before.st_mtime_ns))
+        if _stat_key(os.stat(path)) != _stat_key(before):
+            os.utime(sidecar)
+    except OSError:
+        pass
+
+
+def _stat_key(info: os.stat_result) -> tuple:
+    return info.st_size, info.st_mtime_ns, info.st_ctime_ns, info.st_ino
 
 
 def parse_authors_file(path) -> list[AuthorEntry]:
@@ -224,7 +296,7 @@ class Publisher:
                 article_id, [entry.service_author_id for entry in authors]
             )
         doi, _ = self.client.publish_article(article_id)
-        return SoftwareResult(article_id, doi, reused=found is not None)
+        return SoftwareResult(article_id, doi, reused=False)
 
     # -- data ---------------------------------------------------------
 
@@ -244,6 +316,7 @@ class Publisher:
         resumed draft gets those it never confirmed. The DOI stays the same
         across versions; when nothing changed, nothing is published.
         """
+        started = time.perf_counter()
         paths = [Path(p) for p in spec.paths]
         self._check_fileset(spec, paths)
 
@@ -260,13 +333,18 @@ class Publisher:
 
         uploaded = []
         skipped = []
+        uploaded_bytes = 0
+        clocks: dict = {}
         for path in paths:
             if path.name in held and not needs_upload(path):
                 skipped.append(path)
                 continue
+            now, before = _capture(path, clocks)
             entry = self.client.upload_file(article_id, path)
             write_sidecar(path, entry.md5)
+            _stamp(path, before, now)
             uploaded.append(path)
+            uploaded_bytes += entry.size
 
         if self._fileset_authors:
             self.client.add_authors(article_id, self._fileset_authors)
@@ -277,6 +355,15 @@ class Publisher:
             # Nothing changed since the record was fetched, so its DOI stands.
             doi = record.doi
             logger.info("article %s unchanged; keeping %s", article_id, doi)
+        logger.info(
+            "fileset %s: %d files matched, %d skipped, %d uploaded (%.1f MiB) in %.0f ms",
+            article_id,
+            len(paths),
+            len(skipped),
+            len(uploaded),
+            uploaded_bytes / (1 << 20),
+            (time.perf_counter() - started) * 1000,
+        )
         return DataResult(article_id, doi, uploaded, skipped)
 
     @staticmethod

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,27 @@ def run_simulation(root: Path) -> None:
     (root / "frame_0.vtu").write_text("field 0\n")
     (root / "frame_1.vtu").write_text("field 1\n")
     write_stat(root / "top_hat.stat")
+
+
+def wait_for_clock(*paths: Path) -> None:
+    """Return once the filesystem clock has passed the last change of every path.
+
+    curator trusts a sidecar by stat only for a file last changed before the
+    clock tick it was read in, and a kernel that timestamps files from a
+    coarse clock makes one tick several milliseconds long.
+    """
+    latest = max(os.stat(path).st_ctime_ns for path in paths)
+    probe = Path(paths[0]).parent / "clock-probe.md5"
+    deadline = time.monotonic() + 5
+    try:
+        while True:
+            probe.write_bytes(b"")
+            if probe.stat().st_mtime_ns > latest:
+                return
+            assert time.monotonic() < deadline, "the filesystem clock did not advance"
+            time.sleep(0.001)
+    finally:
+        probe.unlink(missing_ok=True)
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from conftest import (
 import curator.cli as cli
 from curator.cli import run, resolve_software_version
 from curator.depot import Depot
-from curator.errors import ParseError, UnknownRef
+from curator.errors import ParseError, TransportError, UnknownRef
 from curator.provenance import read_publish_options
 
 
@@ -440,6 +440,25 @@ def test_software_rerun_inspects_repo_once(tmp_path, capsys, monkeypatch):
     assert run(argv) == 0
     assert "reusing" in capsys.readouterr().out
     assert len(inspected) == 1
+
+
+def test_software_rerun_after_failed_publish_is_not_reusing(tmp_path, capsys, monkeypatch):
+    sim = make_sim_dir(tmp_path / "sim")
+    repo = make_repo(tmp_path / "repo")
+    argv = ["publish-software", *mock_args(sim / "top_hat.xml", "--repo", str(repo))]
+
+    def lost_publish(self, article_id):
+        raise TransportError("connection reset during publish")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Depot, "publish_article", lost_publish)
+        assert run(argv) == 1
+    capsys.readouterr()
+
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert "reusing" not in out
+    assert "result: article_id=1 doi=10.5072/mockdepot.1" in out
 
 
 def test_output_stage_expands_patterns_once(tmp_path, capsys, monkeypatch):

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import builtins
 import hashlib
+import io
 import logging
+import os
+import re
 import subprocess
+import time
+from pathlib import Path
 
 import pytest
 
-from conftest import git, make_repo
+from conftest import git, make_repo, wait_for_clock
 
+import curator.publish as publish
 from curator.depot import Depot
 from curator.errors import InvalidMeta, IoError, KindMismatch, NotFound
 from curator.gitrepo import export_archive
@@ -186,7 +193,7 @@ def test_publish_software_completes_interrupted_draft(tmp_path):
     result = Publisher(depot).publish_software(
         SoftwareIdentity(name="repo", commit=head, local_repo=repo)
     )
-    assert result.reused is True
+    assert result.reused is False
     assert result.article_id == draft.article_id
     record = depot.get_article(draft.article_id)
     assert record.status == "published"
@@ -317,6 +324,161 @@ def test_publish_data_sidecars_match_stored_bytes(tmp_path):
     for path in paths:
         recorded = sidecar_path(path).read_text().strip()
         assert recorded == hashlib.md5(by_name[path.name]).hexdigest()
+
+
+def test_publish_data_logs_one_summary(tmp_path, caplog):
+    depot = Depot()
+    publisher = Publisher(depot)
+    paths = _data_files(tmp_path)
+    first = publisher.publish_data(FilesetSpec(title="run data", paths=paths))
+
+    paths[1].write_text("changed content\n")
+    with caplog.at_level(logging.INFO, logger="curator.publish"):
+        publisher.publish_data(
+            FilesetSpec(title="run data", paths=paths, existing_article_id=first.article_id)
+        )
+    summaries = [r.getMessage() for r in caplog.records if "files matched" in r.getMessage()]
+    assert len(summaries) == 1
+    assert re.fullmatch(
+        rf"fileset {first.article_id}: 3 files matched, 2 skipped, 1 uploaded \(0\.0 MiB\)"
+        r" in \d+ ms",
+        summaries[0],
+    )
+
+
+# -- trusting an unchanged file by stat ----------------------------------
+
+
+def _count_hashes(monkeypatch) -> list:
+    """Record every path that curator.publish hashes."""
+    hashed = []
+    monkeypatch.setattr(
+        publish, "file_md5", lambda path: hashed.append(Path(path)) or file_md5(path)
+    )
+    return hashed
+
+
+def _publish_settled(tmp_path):
+    """Publish data files last changed before the current clock tick, so every
+    sidecar is stamped; return the paths and a function that re-runs it."""
+    publisher = Publisher(Depot())
+    paths = _data_files(tmp_path)
+    wait_for_clock(*paths)
+    first = publisher.publish_data(FilesetSpec(title="run data", paths=paths))
+
+    def rerun():
+        return publisher.publish_data(
+            FilesetSpec(title="run data", paths=paths, existing_article_id=first.article_id)
+        )
+
+    return paths, rerun
+
+
+def test_publish_data_noop_rerun_reads_no_data_file(tmp_path, monkeypatch):
+    paths, rerun = _publish_settled(tmp_path)
+    hashed = _count_hashes(monkeypatch)
+    opened = []
+    real_open = io.open
+
+    def recording_open(file, *args, **kwargs):
+        if not isinstance(file, int):
+            opened.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    again = rerun()
+    assert again.skipped == paths
+    assert hashed == []
+    assert not set(opened) & set(paths)
+
+
+def _rewrite_keeping_mtime(path):
+    # what ``cp -p`` or ``rsync -t`` of other bytes of the same size leaves
+    info = path.stat()
+    path.write_bytes(b"X" * info.st_size)
+    os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns))
+
+
+def _swap_inode(path):
+    info = path.stat()
+    fresh = path.with_name(path.name + ".new")
+    fresh.write_bytes(b"Y" * info.st_size)
+    os.utime(fresh, ns=(info.st_atime_ns, info.st_mtime_ns))
+    os.replace(fresh, path)
+
+
+def _edit_sidecar(path):
+    sidecar_path(path).write_text("0" * 32 + "\n")
+
+
+@pytest.mark.parametrize("edit", [_rewrite_keeping_mtime, _swap_inode, _edit_sidecar])
+def test_publish_data_hashes_what_stat_cannot_vouch_for(tmp_path, monkeypatch, edit):
+    paths, rerun = _publish_settled(tmp_path)
+    edit(paths[1])
+    hashed = _count_hashes(monkeypatch)
+    again = rerun()
+    assert hashed == [paths[1]]
+    assert again.uploaded == [paths[1]]
+    assert sidecar_path(paths[1]).read_text() == file_md5(paths[1]) + "\n"
+
+
+def test_publish_data_touched_file_is_hashed_once_then_trusted(tmp_path, monkeypatch):
+    paths, rerun = _publish_settled(tmp_path)
+    os.utime(paths[1])
+    wait_for_clock(paths[1])
+    hashed = _count_hashes(monkeypatch)
+    assert rerun().skipped == paths
+    assert hashed == [paths[1]]
+
+    hashed.clear()
+    assert rerun().skipped == paths
+    assert hashed == []
+
+
+def test_needs_upload_never_trusts_a_file_changed_in_the_tick_it_is_read(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "data.vtu"
+    path.write_bytes(b"payload")
+    write_sidecar(path, file_md5(path))
+    # an mtime not older than the filesystem clock: a write later in the
+    # same tick would leave it unchanged, so the match is never stamped
+    future = time.time_ns() + 3600 * 10**9
+    os.utime(path, ns=(future, future))
+    hashed = _count_hashes(monkeypatch)
+    assert needs_upload(path) is False
+    assert needs_upload(path) is False
+    assert hashed == [path, path]
+
+
+def test_publish_data_reuploads_a_file_rewritten_during_its_upload(tmp_path, monkeypatch):
+    depot = Depot()
+    publisher = Publisher(depot)
+    paths = _data_files(tmp_path)
+    wait_for_clock(*paths)
+    upload_bytes = depot.upload_bytes
+
+    def rewriting_upload(article_id, name, body):
+        # the depot holds the bytes it was sent; the file then changes
+        # under the same size and mtime before the sidecar is written
+        entry = upload_bytes(article_id, name, body)
+        path = tmp_path / name
+        info = path.stat()
+        path.write_bytes(b"Z" * len(body))
+        os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns))
+        return entry
+
+    with monkeypatch.context() as patch:
+        patch.setattr(depot, "upload_bytes", rewriting_upload)
+        first = publisher.publish_data(FilesetSpec(title="run data", paths=paths))
+
+    again = publisher.publish_data(
+        FilesetSpec(title="run data", paths=paths, existing_article_id=first.article_id)
+    )
+    assert again.uploaded == paths
+    record = depot.get_article(first.article_id)
+    assert [entry.md5 for entry in record.files] == [file_md5(path) for path in paths]
 
 
 def test_publish_data_existing_must_be_fileset(tmp_path):
