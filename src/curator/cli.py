@@ -80,7 +80,11 @@ def _open_client(args):
         config = load_config(config_path)
         if config.depot is None:
             raise ParseError(f"{config_path}: missing [depot] section")
-        yield HttpDepotClient(config.depot), config.default_category
+        client = HttpDepotClient(config.depot)
+        try:
+            yield client, config.default_category
+        finally:
+            client.close()
         return
     category = DEFAULT_CATEGORY
     if Path(config_path).is_file():

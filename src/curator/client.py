@@ -11,17 +11,18 @@ client builds its requests from it and the facade in
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import re
+import selectors
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 from urllib.parse import quote, urlencode, urlparse
-
-import requests
 
 from .errors import IoError, NotFound, TransportError, wire_error
 
@@ -251,19 +252,42 @@ class DepotClient(ABC):
         """Fetch the current record."""
 
 
-class HttpDepotClient(DepotClient):
-    """Depot client over HTTP.
+@dataclass
+class _Reply:
+    """Status and body of one HTTP reply, read in full."""
 
-    Connection errors and timeouts are retried with the RETRY_BACKOFF
-    schedule before raising TransportError, except a POST whose reply timed
-    out: the depot may already have applied it, so it is not sent again.
-    Every other failure maps to the error kind named in the response body.
-    All calls carry a bounded timeout, so no operation blocks indefinitely.
+    status_code: int
+    content: bytes
+
+
+def _peer_closed(connection: http.client.HTTPConnection) -> bool:
+    """True when an idle connection's socket is readable: the depot sends
+    nothing unasked, so that means it closed the connection."""
+    if connection.sock is None:
+        return False
+    with selectors.DefaultSelector() as selector:
+        selector.register(connection.sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
+
+
+class HttpDepotClient(DepotClient):
+    """Depot client over one HTTP/1.1 keep-alive connection.
+
+    Every call reuses the connection the previous call left idle, or opens
+    a new one when there is none or the depot has closed it. A call that
+    fails in any way discards its connection. Connection failures (refused,
+    reset, unreachable, closed without a reply) and timeouts are retried
+    with the RETRY_BACKOFF schedule before raising TransportError, except a
+    POST whose reply timed out: the depot may already have applied it, so
+    it is not sent again. Any other failure is TransportError at once, and
+    an error reply maps to the error kind named in its body. All calls
+    carry a bounded timeout, so no operation blocks indefinitely.
     """
 
     def __init__(self, config: ClientConfig, timeout: float = DEFAULT_TIMEOUT):
-        if urlparse(config.base_url).scheme not in ("http", "https"):
-            raise ValueError("base_url must use an http or https scheme")
+        url = urlparse(config.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError("base_url must be an http or https URL with a host")
         missing = [
             name
             for name in ("client_key", "client_secret", "token", "token_secret")
@@ -272,21 +296,37 @@ class HttpDepotClient(DepotClient):
         if missing:
             raise ValueError(f"credential fields must be nonempty: {', '.join(missing)}")
         self._base = config.base_url.rstrip("/")
-        self._timeout = timeout
-        self._session = requests.Session()
-        self._session.headers["Authorization"] = f"token {config.token}"
-        # Any auth set here stops requests replacing that header with ~/.netrc credentials.
-        self._session.auth = lambda request: request
+        self._root = url.path.rstrip("/")
+        connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        self._connect = partial(connection_class, url.hostname, url.port, timeout=timeout)
+        self._connection: http.client.HTTPConnection | None = None
+        self._headers = {"Authorization": f"token {config.token}"}
+
+    def close(self) -> None:
+        """Close the kept-alive connection; a later call opens a new one."""
+        if self._connection is not None:
+            self._connection.close()
 
     def _request(self, method: str, path: str, *, data=None, headers=None):
         url = f"{self._base}{path}"
+        headers = {**self._headers, **(headers or {})}
         for delay in (*RETRY_BACKOFF, None):
+            # Only a completed exchange puts the connection back, because
+            # close() keeps a half-built request's lines for the next request.
+            connection, self._connection = self._connection or self._connect(), None
+            if _peer_closed(connection):
+                connection.close()  # the request below reconnects, with no retry delay
+            sent = False
             try:
-                response = self._session.request(
-                    method, url, data=data, headers=headers, timeout=self._timeout
-                )
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                maybe_applied = method == "POST" and isinstance(exc, requests.ReadTimeout)
+                connection.request(method, self._root + path, data, headers)
+                sent = True
+                response = connection.getresponse()
+                reply = _Reply(response.status, response.read())
+            except OSError as exc:
+                connection.close()
+                maybe_applied = sent and method == "POST" and isinstance(exc, TimeoutError)
                 if delay is None or maybe_applied:
                     raise TransportError(
                         f"{method} {url} failed: {exc.__class__.__name__}"
@@ -296,17 +336,19 @@ class HttpDepotClient(DepotClient):
                 )
                 time.sleep(delay)
                 continue
-            except requests.RequestException as exc:
+            except (http.client.HTTPException, ValueError) as exc:
+                connection.close()
                 raise TransportError(f"{method} {url}: {exc}") from exc
-            return self._handle_response(method, path, response)
+            self._connection = connection
+            return self._handle_response(method, path, reply)
         raise AssertionError("unreachable")
 
     @staticmethod
-    def _handle_response(method: str, path: str, response: requests.Response):
+    def _handle_response(method: str, path: str, response: _Reply):
         status = response.status_code
         ok = 200 <= status < 300
         try:
-            payload = response.json() if response.content else None
+            payload = json.loads(response.content) if response.content else None
         except ValueError as exc:
             if ok:
                 raise TransportError(f"{method} {path} returned {status}, not JSON") from exc
@@ -326,14 +368,18 @@ class HttpDepotClient(DepotClient):
             raise NotFound(f"no such article: {ids}")
         path = route.path.format(**ids)
         # A value the wire cannot carry arrives as missing (a non-text query
-        # value) or null (in JSON), for the depot to reject as it would the value.
+        # value or file name) or null (in JSON), for the depot to reject as
+        # it would the value.
         data = headers = None
         if route.method == "GET":
             text = {k: v for k, v in fields.items() if isinstance(v, str)}
             path += f"?{urlencode(text, quote_via=quote)}" if text else ""
         elif "body" in fields:
             data = fields["body"]
-            headers = {FILE_NAME_HEADER: fields["name"], "Content-Type": "application/octet-stream"}
+            headers = {"Content-Type": "application/octet-stream"}
+            if isinstance(fields["name"], str):
+                # Header values are Latin-1, so the name travels percent-encoded UTF-8.
+                headers[FILE_NAME_HEADER] = quote(fields["name"], safe="")
         else:
             data = json.dumps(fields, default=lambda _: None).encode("utf-8")
             headers = {"Content-Type": "application/json"}

@@ -15,7 +15,7 @@ import json
 import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, unquote, urlsplit
 
 from .client import FILE_NAME_HEADER, ROUTES
 from .depot import Depot
@@ -77,6 +77,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise InvalidMeta("request body must be a JSON object")
         return payload
 
+    def _file_name(self) -> str | None:
+        name = self.headers.get(FILE_NAME_HEADER)
+        try:
+            return None if name is None else unquote(name, errors="strict")
+        except UnicodeDecodeError:
+            raise InvalidMeta(f"{FILE_NAME_HEADER} is not percent-encoded UTF-8")
+
     def _authorized(self) -> bool:
         # Bytes, because compare_digest raises TypeError on non-ASCII str.
         given = (self.headers.get("Authorization") or "").encode("utf-8")
@@ -103,7 +110,7 @@ class _Handler(BaseHTTPRequestHandler):
             if method == "GET":
                 params = {k: v[0] for k, v in parse_qs(split.query).items()}
             elif "body" in route.params:
-                params = {"name": self.headers.get(FILE_NAME_HEADER), "body": raw}
+                params = {"name": self._file_name(), "body": raw}
             else:
                 params = self._read_json(raw)
             params.update((k, int(v)) for k, v in match.groupdict().items())

@@ -1,19 +1,26 @@
 from __future__ import annotations
 
 import json
+import socket
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
-import requests
 
 import curator.client as client_mod
-from conftest import client_config
+from conftest import TOKEN, client_config
 
 from curator.client import (
     DEFAULT_TIMEOUT,
     RETRY_BACKOFF,
+    ArticleMeta,
     HttpDepotClient,
     read_local_file,
 )
+from curator.depot import Depot
+from curator.depot_http import DepotHttpServer, _Handler
 from curator.errors import (
     AuthFailure,
     Conflict,
@@ -41,6 +48,53 @@ def make_client(base_url="http://127.0.0.1:9"):
     return HttpDepotClient(client_config(base_url))
 
 
+@pytest.fixture
+def listener():
+    """A loopback socket that listens but never accepts: the kernel completes
+    each connect, and every request then waits for a reply that never comes."""
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        yield sock
+
+
+def silent_client(listener, monkeypatch):
+    """A client with a 0.2 s timeout on ``listener``, and its retry delays."""
+    delays = []
+    monkeypatch.setattr(client_mod.time, "sleep", delays.append)
+    host, port = listener.getsockname()[:2]
+    return HttpDepotClient(client_config(f"http://{host}:{port}"), timeout=0.2), delays
+
+
+def request_heads(listener) -> list[bytes]:
+    """Accept every connection queued on ``listener`` and return its request head."""
+    listener.setblocking(False)
+    heads = []
+    while True:
+        try:
+            connection, _ = listener.accept()
+        except BlockingIOError:
+            return heads
+        with connection:
+            connection.settimeout(5)
+            heads.append(connection.recv(65536).partition(b"\r\n\r\n")[0])
+
+
+def methods(heads) -> list[str]:
+    return [head.split(b" ", 1)[0].decode() for head in heads]
+
+
+def count_accepts(monkeypatch) -> list:
+    """Record the server end of every connection the facade accepts."""
+    accepted = []
+    setup = _Handler.setup
+
+    def counting(handler):
+        accepted.append(handler.request)
+        setup(handler)
+
+    monkeypatch.setattr(_Handler, "setup", counting)
+    return accepted
+
+
 def test_retry_schedule_is_fixed():
     assert RETRY_BACKOFF == (0.5, 1.0, 2.0)
     assert DEFAULT_TIMEOUT == 30.0
@@ -61,9 +115,12 @@ def test_config_requires_all_credentials():
     assert "token_secret" in str(err.value)
 
 
-def test_auth_header_shape():
-    client = make_client()
-    assert client._session.headers["Authorization"] == "token sekrit"
+def test_auth_header_shape(listener, monkeypatch):
+    client, _ = silent_client(listener, monkeypatch)
+    with pytest.raises(TransportError):
+        client.publish_article(1)
+    [head] = request_heads(listener)
+    assert b"\r\nAuthorization: token sekrit\r\n" in head
 
 
 def test_connection_failures_retry_then_raise(monkeypatch):
@@ -77,88 +134,69 @@ def test_connection_failures_retry_then_raise(monkeypatch):
 
 
 def test_transient_failure_then_success(monkeypatch):
-    client = make_client()
-    monkeypatch.setattr(client_mod.time, "sleep", lambda _: None)
-    calls = {"n": 0}
+    # the first two attempts are refused; the depot comes up during the second back-off
+    with socket.create_server(("127.0.0.1", 0)) as placeholder:
+        address = "127.0.0.1:%d" % placeholder.getsockname()[1]
+    depot = Depot()
+    depot.create_article(ArticleMeta(title="t", kind="code", category="c"))
+    servers, delays = [], []
 
-    def flaky(method, url, **kwargs):
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise requests.ConnectionError("boom")
-        return FakeResponse(200, {"doi": "10.5072/mockdepot.1", "version": 1})
+    def sleep(delay):
+        delays.append(delay)
+        if len(delays) == 2:
+            servers.append(DepotHttpServer(address, depot, TOKEN).start())
 
-    monkeypatch.setattr(client_mod.requests.Session, "request", staticmethod(flaky))
-    client = make_client()
-    assert client.publish_article(1) == ("10.5072/mockdepot.1", 1)
-    assert calls["n"] == 3
-
-
-def read_timeout_counting(monkeypatch):
-    """A client whose every request times out waiting for the reply."""
-    calls, delays = [], []
-
-    def timeout(method, url, **kwargs):
-        calls.append(method)
-        raise requests.ReadTimeout("no reply")
-
-    client = make_client()
-    monkeypatch.setattr(client._session, "request", timeout)
-    monkeypatch.setattr(client_mod.time, "sleep", delays.append)
-    return client, calls, delays
+    monkeypatch.setattr(client_mod.time, "sleep", sleep)
+    client = make_client(f"http://{address}")
+    try:
+        assert client.publish_article(1) == ("10.5072/mockdepot.1", 1)
+    finally:
+        for server in servers:
+            server.stop()
+    assert delays == [0.5, 1.0]
 
 
-def test_post_read_timeout_is_not_retried(monkeypatch):
+def test_post_read_timeout_is_not_retried(listener, monkeypatch):
     # the depot may have applied the POST already; sending it again would
     # create a second article or upload
-    client, calls, delays = read_timeout_counting(monkeypatch)
+    client, delays = silent_client(listener, monkeypatch)
     with pytest.raises(TransportError):
         client.publish_article(1)
-    assert (calls, delays) == (["POST"], [])
+    assert (methods(request_heads(listener)), delays) == (["POST"], [])
 
 
-def test_get_read_timeout_is_retried(monkeypatch):
-    client, calls, delays = read_timeout_counting(monkeypatch)
+def test_get_read_timeout_is_retried(listener, monkeypatch):
+    client, delays = silent_client(listener, monkeypatch)
     with pytest.raises(TransportError):
         client.get_article(1)
-    assert (calls, delays) == (["GET"] * 4, [0.5, 1.0, 2.0])
+    assert (methods(request_heads(listener)), delays) == (["GET"] * 4, [0.5, 1.0, 2.0])
 
 
-def test_non_retryable_request_exception(monkeypatch):
-    def broken(method, url, **kwargs):
-        raise requests.TooManyRedirects("loop")
+def test_non_retryable_request_exception(listener, monkeypatch):
+    # a reply that is not HTTP is no connection failure, so it is not sent again
+    def answer_with_garbage():
+        connection, _ = listener.accept()
+        with connection:
+            connection.recv(65536)
+            connection.sendall(b"garbage\r\n\r\n")
 
-    client = make_client()
-    monkeypatch.setattr(client._session, "request", broken)
+    replier = threading.Thread(target=answer_with_garbage, daemon=True)
+    replier.start()
+    client, delays = silent_client(listener, monkeypatch)
     with pytest.raises(TransportError):
         client.get_article(1)
+    replier.join(5)
+    assert (request_heads(listener), delays) == ([], [])
 
 
-def test_timeout_passed_to_every_call(monkeypatch):
-    seen = {}
-
-    def capture(method, url, **kwargs):
-        seen["timeout"] = kwargs["timeout"]
-        return FakeResponse(
-            200,
-            {
-                "article_id": 1,
-                "title": "t",
-                "description": "",
-                "kind": "code",
-                "category": "",
-                "tags": [],
-                "status": "draft",
-                "version": 0,
-                "doi": None,
-                "files": [],
-                "authors": [],
-            },
-        )
-
-    client = HttpDepotClient(client_config("http://h"), timeout=7.5)
-    monkeypatch.setattr(client._session, "request", capture)
-    client.get_article(1)
-    assert seen["timeout"] == 7.5
+def test_timeout_passed_to_every_call(listener, monkeypatch):
+    # each attempt waits the client's 0.2 s, not the 30 s default
+    client, _ = silent_client(listener, monkeypatch)
+    for call, attempts in ((client.get_article, 4), (client.publish_article, 1)):
+        start = time.monotonic()
+        with pytest.raises(TransportError):
+            call(1)
+        assert 0.2 * attempts * 0.9 <= time.monotonic() - start < 5
 
 
 def test_error_kind_mapping_from_body():
@@ -203,13 +241,12 @@ def test_non_object_error_body_falls_back_to_status():
         handle("GET", "/x", FakeResponse(502, [1]))
 
 
-def test_malformed_success_reply_is_transport_error(monkeypatch):
-    client = make_client()
-    monkeypatch.setattr(client._session, "request", lambda *a, **k: FakeResponse(200, [1]))
+def test_malformed_success_reply_is_transport_error(http_server, http_client, monkeypatch):
+    monkeypatch.setattr(http_server.depot, "handle", lambda op, params: [1])
     with pytest.raises(TransportError):
-        client.get_article(1)
+        http_client.get_article(1)
     with pytest.raises(TransportError):
-        client.publish_article(1)
+        http_client.publish_article(1)
 
 
 def test_wire_error_prefers_body_kind_over_status():
@@ -232,3 +269,76 @@ def test_trailing_slash_in_base_url_is_tolerated(http_server):
         client_mod.ArticleMeta(title="t", kind="code", category="c")
     )
     assert record.article_id == 1
+
+
+def test_calls_share_one_connection(http_server, http_client, monkeypatch):
+    accepted = count_accepts(monkeypatch)
+    article_id = http_client.create_article(  # a POST and a GET
+        ArticleMeta(title="t", kind="fileset", category="c")
+    ).article_id
+    for index in range(9):
+        http_client.upload_bytes(article_id, f"f{index}.dat", b"x" * index)
+        http_client.get_article(article_id)
+    assert len(accepted) == 1
+    http_client.close()
+    http_client.get_article(article_id)
+    assert len(accepted) == 2
+
+
+def test_restarted_depot_is_reached_without_a_retry(tmp_path, monkeypatch):
+    state = tmp_path / "depot.jsonl"
+    accepted = count_accepts(monkeypatch)
+    delays = []
+    monkeypatch.setattr(client_mod.time, "sleep", delays.append)
+    first = DepotHttpServer("127.0.0.1:0", Depot(state_path=state), TOKEN).start()
+    client = HttpDepotClient(client_config(first.base_url))
+    article_id = client.create_article(
+        ArticleMeta(title="t", kind="fileset", category="c")
+    ).article_id
+    # a restart closes the open connections, as the exit of serve-depot does
+    first.stop()
+    for connection in accepted:
+        connection.shutdown(socket.SHUT_RDWR)
+    second = DepotHttpServer(first.address, Depot(state_path=state), TOKEN).start()
+    try:
+        assert client.get_article(article_id).article_id == article_id
+    finally:
+        second.stop()
+    assert (len(accepted), delays) == (2, [])
+
+
+def test_a_failed_call_leaves_the_client_usable(http_server, monkeypatch):
+    delays = []
+    monkeypatch.setattr(client_mod.time, "sleep", delays.append)
+    client = HttpDepotClient(client_config(http_server.base_url), timeout=0.5)
+    article_id = client.create_article(
+        ArticleMeta(title="t", kind="fileset", category="c")
+    ).article_id
+    # http.client fails to encode this body after buffering the request
+    # line and headers, and close() would keep them for the next request
+    with pytest.raises(TransportError):
+        client.upload_bytes(article_id, "a.dat", "数据")
+    assert client.get_article(article_id).article_id == article_id
+
+    # the late reply to a timed-out POST must not answer the next call
+    handle, release = http_server.depot.handle, threading.Event()
+
+    def held(op, params):
+        release.wait(5)
+        return handle(op, params)
+
+    monkeypatch.setattr(http_server.depot, "handle", held)
+    with pytest.raises(TransportError):
+        client.publish_article(article_id)
+    monkeypatch.setattr(http_server.depot, "handle", handle)
+    release.set()
+    assert client.get_article(article_id).article_id == article_id
+    assert delays == []
+
+
+def test_cli_and_facade_do_not_import_requests():
+    code = "import sys, curator.cli, curator.depot_http; print('requests' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

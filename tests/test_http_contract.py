@@ -126,6 +126,20 @@ def s_upload_missing_article(p):
     p.do("upload_file", 999999, p.file(b"x"))
 
 
+def s_upload_names_outside_latin1(p):
+    # header values are Latin-1, and "%" must survive the name's encoding
+    record = p.do("create_article", meta())
+    p.do("upload_file", record.article_id, p.file(b"1", "数据.vtu"))
+    p.do("upload_file", record.article_id, p.file(b"2", "100%.vtu"))
+    p.do("get_article", record.article_id)
+
+
+def s_upload_non_text_name(p):
+    record = p.do("create_article", meta())
+    p.do("upload_bytes", record.article_id, 5, b"x")
+    p.do("upload_bytes", 999999, None, b"x")
+
+
 def s_search_no_hits(p):
     p.do("search_by_tag", "no-such-tag")
 
@@ -301,6 +315,8 @@ SCENARIOS = [
     s_upload_two_names_ordered,
     s_upload_binary_payload,
     s_upload_missing_article,
+    s_upload_names_outside_latin1,
+    s_upload_non_text_name,
     s_search_no_hits,
     s_search_finds_draft,
     s_search_multiple_sorted,
@@ -579,6 +595,21 @@ def test_publish_accepts_empty_body(http_server, http_client):
 
 def record_doi(article_id: int) -> str:
     return f"10.5072/mockdepot.{article_id}"
+
+
+@pytest.mark.parametrize("name", ["a%2Fb.dat", "%FF.dat"])
+def test_file_name_header_is_checked_after_decoding(http_server, http_client, name):
+    # a slash may not hide behind its escape, and the escapes must be UTF-8
+    record = http_client.create_article(meta())
+    response = requests.post(
+        f"{http_server.base_url}/v1/articles/{record.article_id}/files",
+        data=b"x",
+        headers={**AUTH, "X-File-Name": name},
+        timeout=5,
+    )
+    assert response.status_code == 422
+    assert response.json() == {"error": "InvalidMeta"}
+    assert http_client.get_article(record.article_id).files == []
 
 
 def test_search_requires_tag_parameter(http_server):

@@ -54,6 +54,21 @@ def test_sidecar_format_is_hex_plus_newline(tmp_path):
     assert content[:-1] == file_md5(path).encode()
 
 
+def test_write_sidecar_cuts_a_longer_sidecar_to_the_digest(tmp_path):
+    # the sidecar is overwritten in place, so a hand-edited one in md5sum's
+    # "<hex>  <name>" form must lose the tail past the new digest
+    path = tmp_path / "data.vtu"
+    path.write_bytes(b"payload")
+    digest = file_md5(path)
+    sidecar_path(path).write_text(f"{digest}  data.vtu\n")
+    write_sidecar(path, digest)
+    assert sidecar_path(path).read_bytes() == f"{digest}\n".encode()
+    sidecar_path(path).unlink()
+    sidecar_path(path).mkdir()
+    with pytest.raises(IoError):
+        write_sidecar(path, digest)
+
+
 def test_needs_upload_transitions(tmp_path):
     path = tmp_path / "data.vtu"
     path.write_bytes(b"original")
