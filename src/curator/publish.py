@@ -101,16 +101,8 @@ def sidecar_path(path) -> Path:
 
 
 def write_sidecar(path, digest: str) -> None:
-    # Overwrite, then cut to length: truncating to zero first makes ext4
-    # flush the file on close, which costs several times the write.
-    data = (digest + "\n").encode("ascii")
     try:
-        fd = os.open(sidecar_path(path), os.O_WRONLY | os.O_CREAT, 0o666)
-        try:
-            os.write(fd, data)
-            os.ftruncate(fd, len(data))
-        finally:
-            os.close(fd)
+        sidecar_path(path).write_text(digest + "\n", encoding="ascii")
     except OSError as exc:
         raise IoError(f"cannot write sidecar for {path}: {exc.strerror or exc}") from exc
 

@@ -55,8 +55,8 @@ def test_sidecar_format_is_hex_plus_newline(tmp_path):
 
 
 def test_write_sidecar_cuts_a_longer_sidecar_to_the_digest(tmp_path):
-    # the sidecar is overwritten in place, so a hand-edited one in md5sum's
-    # "<hex>  <name>" form must lose the tail past the new digest
+    # a hand-edited sidecar in md5sum's "<hex>  <name>" form is rewritten
+    # to the digest line alone
     path = tmp_path / "data.vtu"
     path.write_bytes(b"payload")
     digest = file_md5(path)
