@@ -137,6 +137,18 @@ def record_from_wire(payload: dict) -> ArticleRecord:
     )
 
 
+def is_utf8_text(value) -> bool:
+    """True for a str that encodes as UTF-8, which one holding a lone
+    surrogate (an undecodable name from ``os.listdir``) does not."""
+    if not isinstance(value, str):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def args_to_wire(names, args) -> dict:
     """Flat wire parameters for positional arguments; ``meta`` is spread into its fields."""
     wire = {}
@@ -368,8 +380,8 @@ class HttpDepotClient(DepotClient):
             raise NotFound(f"no such article: {ids}")
         path = route.path.format(**ids)
         # A value the wire cannot carry arrives as missing (a non-text query
-        # value or file name) or null (in JSON), for the depot to reject as
-        # it would the value.
+        # value, a file name that is not UTF-8 text) or null (in JSON), for
+        # the depot to reject as it would the value.
         data = headers = None
         if route.method == "GET":
             text = {k: v for k, v in fields.items() if isinstance(v, str)}
@@ -377,7 +389,7 @@ class HttpDepotClient(DepotClient):
         elif "body" in fields:
             data = fields["body"]
             headers = {"Content-Type": "application/octet-stream"}
-            if isinstance(fields["name"], str):
+            if is_utf8_text(fields["name"]):
                 # Header values are Latin-1, so the name travels percent-encoded UTF-8.
                 headers[FILE_NAME_HEADER] = quote(fields["name"], safe="")
         else:

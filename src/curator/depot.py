@@ -29,6 +29,7 @@ from .client import (
     DepotClient,
     FileEntry,
     args_from_wire,
+    is_utf8_text,
     record_from_wire,
     record_to_wire,
 )
@@ -95,14 +96,14 @@ def _validate_meta(meta: ArticleMeta) -> None:
 
 def _validate_file_name(name) -> str:
     bad = (
-        not isinstance(name, str)
+        not is_utf8_text(name)
         or not name
         or name in (".", "..")
         or "/" in name
         or "\\" in name
     )
     if bad:
-        raise InvalidMeta("file name must be a bare name with no directory parts")
+        raise InvalidMeta("file name must be a bare UTF-8 name with no directory parts")
     return name
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hmac
 import json
 import logging
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
@@ -25,10 +26,38 @@ logger = logging.getLogger(__name__)
 
 
 class _Server(ThreadingHTTPServer):
+    """Tracks the connections it has accepted, so that closing the server
+    ends them too: a kept-alive one would go on serving its depot."""
+
     daemon_threads = True
     allow_reuse_address = True
     depot: Depot
     token: str
+
+    def __init__(self, *args):
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args)
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        # Each handler sees end of input at its next read and finishes.
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -140,8 +169,9 @@ class DepotHttpServer:
     """Wire-protocol facade bound to a host:port.
 
     ``start`` serves on a background thread and returns self; ``stop`` is
-    idempotent and releases the socket. ``serve_until_interrupt`` keeps
-    the calling thread serving, for the foreground CLI mode.
+    idempotent, releases the socket and closes every open connection.
+    ``serve_until_interrupt`` keeps the calling thread serving, for the
+    foreground CLI mode.
     """
 
     def __init__(self, bind_address: str, depot: Depot, token: str):

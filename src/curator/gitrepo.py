@@ -8,9 +8,11 @@ timestamp equals the commit time, and file modes come from the tree.
 
 from __future__ import annotations
 
+import io
 import logging
 import re
 import subprocess
+import threading
 import time
 import zipfile
 from dataclasses import dataclass
@@ -127,34 +129,54 @@ def export_archive(local_path, commit: str, dest_path, name: str | None = None) 
     prefix = f"{name}-{full[:7]}/"
     entries = _list_tree(path, full)
 
+    # One --buffer process answers every blob id. The ids are written from
+    # a second thread, since all of them can overflow a pipe while the
+    # replies are still unread; git's lookups then overlap compression.
     reader = subprocess.Popen(
-        ["git", "-C", str(path), "cat-file", "--batch"],
+        ["git", "-C", str(path), "cat-file", "--batch", "--buffer"],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
     )
-
-    def read_blob(sha: bytes) -> bytes:
-        reader.stdin.write(sha + b"\n")
-        reader.stdin.flush()
-        header = reader.stdout.readline().split()
-        if len(header) != 3 or header[1] != b"blob":
-            raise IoError(f"unexpected object {sha.decode()} in {path}")
-        body = reader.stdout.read(int(header[2]))
-        reader.stdout.read(1)
-        return body
-
+    ids = b"".join(sha + b"\n" for _, _, sha in entries)
+    feeder = threading.Thread(target=_feed, args=(reader.stdin, ids), name="cat-file-feed")
+    feeder.start()
+    # In memory, zipfile rewrites each local header without a flush to disk.
+    buffer = io.BytesIO()
     try:
-        with zipfile.ZipFile(dest, "w", zipfile.ZIP_DEFLATED) as archive:
+        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:
             for rel, mode, sha in entries:
                 info = zipfile.ZipInfo(prefix + rel, date_time=stamp)
                 info.create_system = 3
                 info.external_attr = (mode & 0xFFFF) << 16
                 info.compress_type = zipfile.ZIP_DEFLATED
-                archive.writestr(info, read_blob(sha), compresslevel=9)
+                archive.writestr(info, _read_blob(reader.stdout, sha, path), compresslevel=9)
+    finally:
+        # Closing stdout first makes git exit on EPIPE, which frees the feeder.
+        reader.stdout.close()
+        feeder.join()
+        reader.wait()
+    try:
+        dest.write_bytes(buffer.getbuffer())
     except OSError as exc:
         raise IoError(f"cannot write archive {dest}: {exc.strerror or exc}") from exc
-    finally:
-        reader.stdin.close()
-        reader.stdout.close()
-        reader.wait()
     return dest
+
+
+def _feed(pipe, data: bytes) -> None:
+    """Write ``data`` and close ``pipe``; a reader gone early is no error."""
+    try:
+        with pipe:
+            pipe.write(data)
+    except OSError:
+        pass
+
+
+def _read_blob(stream, sha: bytes, path: Path) -> bytes:
+    header = stream.readline().split()
+    if len(header) != 3 or header[0] != sha or header[1] != b"blob":
+        raise IoError(f"unexpected object {sha.decode()} in {path}")
+    size = int(header[2])
+    body = stream.read(size)
+    if len(body) != size or stream.read(1) != b"\n":
+        raise IoError(f"truncated object {sha.decode()} in {path}")
+    return body

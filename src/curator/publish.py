@@ -219,6 +219,20 @@ def parse_authors_file(path) -> list[AuthorEntry]:
     return entries
 
 
+def _log_software(
+    result: SoftwareResult, started: float, archive_bytes: int = 0, export_s: float = 0.0
+) -> SoftwareResult:
+    logger.info(
+        "software %s: %s, archive %.1f MiB exported in %.0f ms, %.0f ms in all",
+        result.article_id,
+        "reused" if result.reused else "published",
+        archive_bytes / (1 << 20),
+        export_s * 1000,
+        (time.perf_counter() - started) * 1000,
+    )
+    return result
+
+
 class Publisher:
     """Drives the depot client through complete publication workflows.
 
@@ -262,6 +276,7 @@ class Publisher:
         that fails at any depot call leaves a draft the next run finds;
         that draft is completed rather than duplicated.
         """
+        started = time.perf_counter()
         if not identity.name or "/" in identity.name:
             raise InvalidMeta(f"software name {identity.name!r} must be a nonempty name")
         if not COMMIT_HASH_RE.match(identity.commit or ""):
@@ -269,7 +284,7 @@ class Publisher:
 
         found = self.find_software(identity.name, identity.commit)
         if found is not None and found[1] is not None:
-            return SoftwareResult(*found, reused=True)
+            return _log_software(SoftwareResult(*found, reused=True), started)
 
         description = f"Source code of {identity.name} at revision {identity.commit}."
         if identity.remote_url:
@@ -283,12 +298,15 @@ class Publisher:
         )
         article_id = found[0] if found else self.client.create_article(meta).article_id
         with tempfile.TemporaryDirectory(prefix="curator-") as scratch:
+            exporting = time.perf_counter()
             archive = export_archive(
                 identity.local_repo,
                 identity.commit,
                 Path(scratch) / f"{identity.name}-{identity.commit[:7]}.zip",
                 name=identity.name,
             )
+            export_s = time.perf_counter() - exporting
+            archive_bytes = archive.stat().st_size
             self.client.upload_file(article_id, archive)
         authors = parse_authors_file(Path(identity.local_repo) / "AUTHORS")
         if authors:
@@ -296,7 +314,8 @@ class Publisher:
                 article_id, [entry.service_author_id for entry in authors]
             )
         doi, _ = self.client.publish_article(article_id)
-        return SoftwareResult(article_id, doi, reused=False)
+        result = SoftwareResult(article_id, doi, reused=False)
+        return _log_software(result, started, archive_bytes, export_s)
 
     # -- data ---------------------------------------------------------
 

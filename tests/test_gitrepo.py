@@ -3,6 +3,7 @@ from __future__ import annotations
 import logging
 import os
 import subprocess
+import threading
 import zipfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import commit_all, git, make_repo
 
-from curator.errors import NoCommits, NotARepository, UnknownRef
+from curator.errors import IoError, NoCommits, NotARepository, UnknownRef
 from curator.gitrepo import COMMIT_HASH_RE, export_archive, inspect_repo, resolve_commit
 
 # GIT_COMMITTER_DATE in conftest is 2014-05-23T15:22:23+01:00; zip stores
@@ -199,3 +200,53 @@ def test_export_honors_name_override(tmp_path):
     dest = export_archive(repo, head, tmp_path / "out.zip", name="custom")
     with zipfile.ZipFile(dest) as archive:
         assert archive.namelist()[0].startswith(f"custom-{head[:7]}/")
+
+
+def _fast_import_repo(root: Path, files: dict, existing: dict | None = None) -> str:
+    """One commit holding ``files`` (path -> bytes) inline and ``existing``
+    (path -> blob id already in the store), written with git fast-import."""
+    root.mkdir(parents=True, exist_ok=True)
+    subprocess.run(["git", "-C", str(root), "init", "-q", "-b", "main"], check=True)
+    stamp = "Alex Fixture <alex@example.org> 1400854943 +0100"
+    parts = [f"commit refs/heads/main\nauthor {stamp}\ncommitter {stamp}\ndata 5\nbulk\n"]
+    for rel, sha in (existing or {}).items():
+        parts.append(f"M 100644 {sha} {rel}\n")
+    for rel, body in files.items():
+        parts.append(f"M 100644 inline {rel}\ndata {len(body)}\n{body.decode()}\n")
+    subprocess.run(
+        ["git", "-C", str(root), "fast-import", "--quiet"],
+        input="".join(parts).encode(),
+        check=True,
+    )
+    return git(root, "rev-parse", "HEAD")
+
+
+def _bulk_files(count: int) -> dict:
+    return {f"d{index % 7}/f{index:05d}.txt": b"line %d\n" % index for index in range(count)}
+
+
+def test_export_of_a_tree_larger_than_a_pipe_is_complete(tmp_path):
+    # 3000 ids are about 120 KiB of cat-file input, more than a pipe holds
+    files = _bulk_files(3000)
+    head = _fast_import_repo(tmp_path / "bulk", files)
+    dest = export_archive(tmp_path / "bulk", head, tmp_path / "out.zip")
+    unpacked = tmp_path / "unpacked"
+    with zipfile.ZipFile(dest) as archive:
+        archive.extractall(unpacked)
+    assert _tree_bytes(unpacked / f"bulk-{head[:7]}") == files
+
+
+def test_export_with_a_missing_blob_raises_and_leaves_nothing_running(tmp_path):
+    repo = tmp_path / "broken"
+    repo.mkdir()
+    subprocess.run(["git", "-C", str(repo), "init", "-q", "-b", "main"], check=True)
+    # a loose blob listed first, so git still has thousands of ids to answer
+    (repo / "lost.txt").write_text("lost\n")
+    lost = git(repo, "hash-object", "-w", "lost.txt")
+    head = _fast_import_repo(repo, _bulk_files(3000), existing={"0-lost.txt": lost})
+    (repo / ".git" / "objects" / lost[:2] / lost[2:]).unlink()
+    before = threading.active_count()
+    with pytest.raises(IoError):
+        export_archive(repo, head, tmp_path / "out.zip")
+    assert threading.active_count() == before
+    assert not (tmp_path / "out.zip").exists()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import statistics
@@ -138,6 +139,13 @@ def s_upload_non_text_name(p):
     record = p.do("create_article", meta())
     p.do("upload_bytes", record.article_id, 5, b"x")
     p.do("upload_bytes", 999999, None, b"x")
+
+
+def s_upload_name_not_utf8(p):
+    # os.listdir hands back a name that is not UTF-8 with lone surrogates
+    record = p.do("create_article", meta())
+    p.do("upload_bytes", record.article_id, "caf\udce9.vtu", b"x")
+    p.do("get_article", record.article_id)
 
 
 def s_search_no_hits(p):
@@ -317,6 +325,7 @@ SCENARIOS = [
     s_upload_missing_article,
     s_upload_names_outside_latin1,
     s_upload_non_text_name,
+    s_upload_name_not_utf8,
     s_search_no_hits,
     s_search_finds_draft,
     s_search_multiple_sorted,
@@ -710,6 +719,23 @@ def test_stop_is_idempotent_and_port_is_released():
         assert reuse.address == address
     finally:
         reuse.stop()
+
+
+def test_stop_closes_kept_alive_connections():
+    server = DepotHttpServer("127.0.0.1:0", Depot(), TOKEN).start()
+    host, port = server.address.rsplit(":", 1)
+    connection = http.client.HTTPConnection(host, int(port), timeout=5)
+    try:
+        connection.request("GET", "/v1/articles/search?tag=t", headers=AUTH)
+        first = connection.getresponse()
+        assert (first.status, first.read()) == (200, b'{"items": []}')
+        server.stop()
+        with pytest.raises((http.client.HTTPException, OSError)):
+            connection.request("GET", "/v1/articles/search?tag=t", headers=AUTH)
+            connection.getresponse()
+    finally:
+        connection.close()
+        server.stop()
 
 
 def test_facade_state_persists_across_server_restarts(tmp_path):

@@ -561,3 +561,24 @@ def test_publish_data_applies_tags_on_create(tmp_path):
         FilesetSpec(title="tagged", tags=["run-7"], paths=paths)
     )
     assert depot.get_article(result.article_id).meta.tags == ["run-7"]
+
+
+def test_publish_software_logs_one_summary(tmp_path, caplog):
+    repo = make_repo(tmp_path / "repo")
+    head = git(repo, "rev-parse", "HEAD")
+    publisher = Publisher(Depot())
+    identity = SoftwareIdentity(name="wave", commit=head, local_repo=repo)
+    with caplog.at_level(logging.INFO, logger="curator.publish"):
+        first = publisher.publish_software(identity)
+        publisher.publish_software(identity)
+    summaries = [r.getMessage() for r in caplog.records if r.getMessage().startswith("software ")]
+    assert len(summaries) == 2
+    assert re.fullmatch(
+        rf"software {first.article_id}: published, archive 0\.0 MiB exported in \d+ ms,"
+        r" \d+ ms in all",
+        summaries[0],
+    )
+    assert re.fullmatch(
+        rf"software {first.article_id}: reused, archive 0\.0 MiB exported in 0 ms, \d+ ms in all",
+        summaries[1],
+    )
