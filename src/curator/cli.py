@@ -80,11 +80,8 @@ def _open_client(args):
         config = load_config(config_path)
         if config.depot is None:
             raise ParseError(f"{config_path}: missing [depot] section")
-        client = HttpDepotClient(config.depot)
-        try:
+        with HttpDepotClient(config.depot) as client:
             yield client, config.default_category
-        finally:
-            client.close()
         return
     category = DEFAULT_CATEGORY
     if Path(config_path).is_file():

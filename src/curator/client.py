@@ -321,6 +321,12 @@ class HttpDepotClient(DepotClient):
         if self._connection is not None:
             self._connection.close()
 
+    def __enter__(self) -> HttpDepotClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def _request(self, method: str, path: str, *, data=None, headers=None):
         url = f"{self._base}{path}"
         headers = {**self._headers, **(headers or {})}
@@ -379,12 +385,12 @@ class HttpDepotClient(DepotClient):
         if any(type(value) is not int for value in ids.values()):
             raise NotFound(f"no such article: {ids}")
         path = route.path.format(**ids)
-        # A value the wire cannot carry arrives as missing (a non-text query
-        # value, a file name that is not UTF-8 text) or null (in JSON), for
-        # the depot to reject as it would the value.
+        # A value the wire cannot carry arrives as missing (a query value or
+        # file name that is not UTF-8 text) or null (in JSON), for the depot
+        # to reject as it would the value.
         data = headers = None
         if route.method == "GET":
-            text = {k: v for k, v in fields.items() if isinstance(v, str)}
+            text = {k: v for k, v in fields.items() if is_utf8_text(v)}
             path += f"?{urlencode(text, quote_via=quote)}" if text else ""
         elif "body" in fields:
             data = fields["body"]

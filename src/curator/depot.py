@@ -272,6 +272,9 @@ class Depot(DepotClient):
     def search_by_tag(self, tag: str) -> list[ArticleRecord]:
         with self._lock:
             _require_text(tag, "tag")
+            if not is_utf8_text(tag):
+                # a query string cannot carry it, so no transport accepts it
+                raise InvalidMeta("tag must be UTF-8 text")
             return [
                 self._copy_record(article.head)
                 for _, article in sorted(self.state.articles.items())

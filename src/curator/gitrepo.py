@@ -4,17 +4,20 @@ Archives are assembled from the repository object store rather than a
 working-tree copy, so the result is a pure function of the tree, the
 commit timestamp and the chosen name: entries are sorted, every
 timestamp equals the commit time, and file modes come from the tree.
+The zip is packed here, laid out byte for byte as ``zipfile`` would write
+it, zip64 records included. A commit time outside what a zip can store
+(1980 to 2107) is clamped to the nearest end of that range.
 """
 
 from __future__ import annotations
 
-import io
 import logging
 import re
+import struct
 import subprocess
 import threading
 import time
-import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +28,20 @@ logger = logging.getLogger(__name__)
 COMMIT_HASH_RE = re.compile(r"^[0-9a-f]{40}$")
 
 _REGULAR_MODES = (b"100644", b"100755")
+
+# zipfile's thresholds: a size or offset past ZIP64_LIMIT, or more entries
+# than ZIP_FILECOUNT_LIMIT, needs a zip64 record.
+ZIP64_LIMIT = (1 << 31) - 1
+ZIP_FILECOUNT_LIMIT = (1 << 16) - 1
+
+_MASK32 = 0xFFFFFFFF
+_DOS_FIRST = (1980, 1, 1, 0, 0, 0)
+_DOS_LAST = (2107, 12, 31, 23, 59, 59)
+_LOCAL = struct.Struct("<4s2B4HL2L2H")
+_CENTRAL = struct.Struct("<4s4B4HL2L5H2L")
+_END = struct.Struct("<4s4H2LH")
+_END64 = struct.Struct("<4sQ2H2L4Q")
+_LOCATOR64 = struct.Struct("<4sLQL")
 
 
 @dataclass
@@ -125,7 +142,7 @@ def export_archive(local_path, commit: str, dest_path, name: str | None = None) 
     full = resolve_commit(path, commit)
     if name is None:
         name = path.resolve().name
-    stamp = time.gmtime(_commit_timestamp(path, full))[:6]
+    dos_time = _dos_time(_commit_timestamp(path, full))
     prefix = f"{name}-{full[:7]}/"
     entries = _list_tree(path, full)
 
@@ -140,26 +157,85 @@ def export_archive(local_path, commit: str, dest_path, name: str | None = None) 
     ids = b"".join(sha + b"\n" for _, _, sha in entries)
     feeder = threading.Thread(target=_feed, args=(reader.stdin, ids), name="cat-file-feed")
     feeder.start()
-    # In memory, zipfile rewrites each local header without a flush to disk.
-    buffer = io.BytesIO()
+    parts: list[bytes] = []
+    central: list[bytes] = []
+    offset = 0
     try:
-        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:
-            for rel, mode, sha in entries:
-                info = zipfile.ZipInfo(prefix + rel, date_time=stamp)
-                info.create_system = 3
-                info.external_attr = (mode & 0xFFFF) << 16
-                info.compress_type = zipfile.ZIP_DEFLATED
-                archive.writestr(info, _read_blob(reader.stdout, sha, path), compresslevel=9)
+        for rel, mode, sha in entries:
+            body = _read_blob(reader.stdout, sha, path)
+            head, data, record = _zip_entry(prefix + rel, mode, body, dos_time, offset)
+            parts += (head, data)
+            central.append(record)
+            offset += len(head) + len(data)
     finally:
         # Closing stdout first makes git exit on EPIPE, which frees the feeder.
         reader.stdout.close()
         feeder.join()
         reader.wait()
+    parts += central
+    parts.append(_zip_end(len(central), offset, sum(map(len, central))))
     try:
-        dest.write_bytes(buffer.getbuffer())
+        # The parts go out as they are: joining them would copy the archive.
+        with dest.open("wb") as out:
+            out.writelines(parts)
     except OSError as exc:
         raise IoError(f"cannot write archive {dest}: {exc.strerror or exc}") from exc
     return dest
+
+
+def _dos_time(seconds: int) -> tuple[int, int]:
+    """The zip (time, date) fields for a UTC time, clamped to 1980-2107."""
+    stamp = time.gmtime(seconds)[:6]
+    clamped = min(max(stamp, _DOS_FIRST), _DOS_LAST)
+    if clamped != stamp:
+        logger.warning("commit time %s UTC does not fit in a zip; entries carry %s", stamp, clamped)
+    year, month, day, hour, minute, second = clamped
+    return hour << 11 | minute << 5 | second // 2, (year - 1980) << 9 | month << 5 | day
+
+
+def _zip_entry(name: str, mode: int, body: bytes, dos_time, offset: int) -> tuple[bytes, ...]:
+    """Local header, deflated data and central record of one file, as
+    ``zipfile``'s ``writestr`` lays them out at compresslevel 9."""
+    try:
+        raw, flags = name.encode("ascii"), 0
+    except UnicodeEncodeError:
+        raw, flags = name.encode("utf-8"), 0x800
+    # a raw deflate stream; zlib.compress accepts wbits only from Python 3.11
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -15)
+    data = deflate.compress(body) + deflate.flush()
+    crc, size, csize = zlib.crc32(body), len(body), len(data)
+    # zipfile decides on the local zip64 field before deflating, from a bound
+    # on the deflated size, and masks both sizes beside it (since Python
+    # 3.11.4; before, it left them unmasked); the central record looks at
+    # the real sizes.
+    zip64 = size * 1.05 > ZIP64_LIMIT
+    local_extra = struct.pack("<2H2Q", 1, 16, size, csize) if zip64 else b""
+    head = _LOCAL.pack(
+        b"PK\x03\x04", 45 if zip64 else 20, 0, flags, 8, *dos_time, crc,
+        *((_MASK32, _MASK32) if zip64 else (csize, size)), len(raw), len(local_extra),
+    )
+    wide = [size, csize] if size > ZIP64_LIMIT or csize > ZIP64_LIMIT else []
+    sizes = (_MASK32, _MASK32) if wide else (csize, size)
+    if offset > ZIP64_LIMIT:
+        wide.append(offset)
+    extra = struct.pack(f"<2H{len(wide)}Q", 1, 8 * len(wide), *wide) if wide else b""
+    version = 45 if zip64 or wide else 20
+    record = _CENTRAL.pack(
+        b"PK\x01\x02", version, 3, version, 0, flags, 8, *dos_time, crc, *sizes,
+        len(raw), len(extra), 0, 0, 0, (mode & 0xFFFF) << 16,
+        _MASK32 if offset > ZIP64_LIMIT else offset,
+    )
+    return head + raw + local_extra, data, record + raw + extra
+
+
+def _zip_end(count: int, start: int, size: int) -> bytes:
+    """End records for ``count`` central records of ``size`` bytes at ``start``."""
+    tail = b""
+    if count > ZIP_FILECOUNT_LIMIT or start > ZIP64_LIMIT or size > ZIP64_LIMIT:
+        tail = _END64.pack(b"PK\x06\x06", 44, 45, 45, 0, 0, count, count, size, start)
+        tail += _LOCATOR64.pack(b"PK\x06\x07", 0, start + size, 1)
+        count, size, start = min(count, 0xFFFF), min(size, _MASK32), min(start, _MASK32)
+    return tail + _END.pack(b"PK\x05\x06", 0, 0, count, count, size, start, 0)
 
 
 def _feed(pipe, data: bytes) -> None:

@@ -168,5 +168,6 @@ def http_server():
 
 
 @pytest.fixture
-def http_client(http_server) -> HttpDepotClient:
-    return HttpDepotClient(client_config(http_server.base_url))
+def http_client(http_server):
+    with HttpDepotClient(client_config(http_server.base_url)) as client:
+        yield client

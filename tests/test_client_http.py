@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import subprocess
@@ -151,6 +152,7 @@ def test_transient_failure_then_success(monkeypatch):
     try:
         assert client.publish_article(1) == ("10.5072/mockdepot.1", 1)
     finally:
+        client.close()
         for server in servers:
             server.stop()
     assert delays == [0.5, 1.0]
@@ -269,6 +271,7 @@ def test_trailing_slash_in_base_url_is_tolerated(http_server):
         client_mod.ArticleMeta(title="t", kind="code", category="c")
     )
     assert record.article_id == 1
+    client.close()
 
 
 def test_calls_share_one_connection(http_server, http_client, monkeypatch):
@@ -298,11 +301,14 @@ def test_restarted_depot_is_reached_without_a_retry(tmp_path, monkeypatch):
     # a restart closes the open connections, as the exit of serve-depot does
     first.stop()
     for connection in accepted:
-        connection.shutdown(socket.SHUT_RDWR)
+        # stop() shuts them down too, and a finished handler has closed its socket
+        with contextlib.suppress(OSError):
+            connection.shutdown(socket.SHUT_RDWR)
     second = DepotHttpServer(first.address, Depot(state_path=state), TOKEN).start()
     try:
         assert client.get_article(article_id).article_id == article_id
     finally:
+        client.close()
         second.stop()
     assert (len(accepted), delays) == (2, [])
 
@@ -334,6 +340,7 @@ def test_a_failed_call_leaves_the_client_usable(http_server, monkeypatch):
     release.set()
     assert client.get_article(article_id).article_id == article_id
     assert delays == []
+    client.close()
 
 
 def test_cli_and_facade_do_not_import_requests():

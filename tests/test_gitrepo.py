@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import io
 import logging
 import os
+import random
 import subprocess
 import threading
+import time
 import zipfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 
 from conftest import commit_all, git, make_repo
 
+from curator import gitrepo
 from curator.errors import IoError, NoCommits, NotARepository, UnknownRef
 from curator.gitrepo import COMMIT_HASH_RE, export_archive, inspect_repo, resolve_commit
 
@@ -250,3 +254,103 @@ def test_export_with_a_missing_blob_raises_and_leaves_nothing_running(tmp_path):
         export_archive(repo, head, tmp_path / "out.zip")
     assert threading.active_count() == before
     assert not (tmp_path / "out.zip").exists()
+
+
+def _zipfile_reference(repo: Path, name: str) -> bytes:
+    """The archive of HEAD as ``zipfile`` writes it, blob by blob."""
+    head = git(repo, "rev-parse", "HEAD")
+    stamp = time.gmtime(int(git(repo, "show", "-s", "--format=%ct", head)))[:6]
+    listing = subprocess.run(
+        ["git", "-C", str(repo), "ls-tree", "-r", "-z", head], capture_output=True, check=True
+    ).stdout
+    entries = sorted(
+        (rel.decode(), int(mode, 8), sha.decode())
+        for meta, _, rel in (chunk.partition(b"\t") for chunk in listing.split(b"\0") if chunk)
+        for mode, _, sha in [meta.split()]
+    )
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:
+        for rel, mode, sha in entries:
+            body = subprocess.run(
+                ["git", "-C", str(repo), "cat-file", "blob", sha], capture_output=True, check=True
+            ).stdout
+            info = zipfile.ZipInfo(f"{name}-{head[:7]}/{rel}", date_time=stamp)
+            info.create_system = 3
+            info.external_attr = mode << 16
+            info.compress_type = zipfile.ZIP_DEFLATED
+            archive.writestr(info, body, compresslevel=9)
+    return buffer.getvalue()
+
+
+def _noise(size: int, seed: int) -> bytes:
+    # deflate cannot shrink random bytes, so these sizes survive compression
+    return random.Random(seed).randbytes(size)
+
+
+def test_export_equals_zipfile_byte_for_byte(tmp_path):
+    repo = make_repo(
+        tmp_path / "repo",
+        files={
+            "données/éphémère.txt": "non-ASCII path\n",
+            "run.sh": "#!/bin/sh\n",
+            "empty.txt": b"",
+            "mesh/noise.bin": _noise(70_000, 1),
+            "mesh/grid.txt": "0 1 2 3\n" * 20_000,
+        },
+    )
+    os.chmod(repo / "run.sh", 0o755)
+    commit_all(repo, "mode")
+    dest = export_archive(repo, "HEAD", tmp_path / "out.zip")
+    assert dest.read_bytes() == _zipfile_reference(repo, "repo")
+
+
+def _zipfile_masks_local_zip64_sizes() -> bool:
+    # zipfile before CPython 3.11.4 (gh-103861) left the real sizes in a
+    # local header beside its zip64 field, where the format asks for 0xFFFFFFFF
+    info = zipfile.ZipInfo("x")
+    info.CRC = info.compress_size = 0
+    return info.FileHeader(zip64=True)[18:22] == b"\xff" * 4
+
+
+MASKING_ZIPFILE = pytest.mark.skipif(
+    not _zipfile_masks_local_zip64_sizes(),
+    reason="this zipfile writes the older local zip64 header",
+)
+
+
+@pytest.mark.parametrize(
+    "size_limit, count_limit",
+    [
+        pytest.param(3000, 10, marks=MASKING_ZIPFILE),
+        pytest.param(5000, 10, marks=MASKING_ZIPFILE),
+        (zipfile.ZIP64_LIMIT, 10),
+        pytest.param(3000, zipfile.ZIP_FILECOUNT_LIMIT, marks=MASKING_ZIPFILE),
+    ],
+)
+def test_export_equals_zipfile_in_zip64_cases(tmp_path, monkeypatch, size_limit, count_limit):
+    # Lowered limits reach every zip64 branch with small files: a local
+    # field for a size near the limit, central fields for sizes and
+    # offsets past it, and the zip64 end records for the entry count or
+    # the central directory's offset.
+    for module in (zipfile, gitrepo):
+        monkeypatch.setattr(module, "ZIP64_LIMIT", size_limit)
+        monkeypatch.setattr(module, "ZIP_FILECOUNT_LIMIT", count_limit)
+    files = {f"n{size}.bin": _noise(size, size) for size in (2900, 4000, 4900, 6000)}
+    files.update({f"small/{index:02d}.txt": f"{index}\n" for index in range(12)})
+    repo = make_repo(tmp_path / "repo", files=files)
+    dest = export_archive(repo, "HEAD", tmp_path / "out.zip")
+    assert dest.read_bytes() == _zipfile_reference(repo, "repo")
+
+
+def test_commit_before_1980_is_clamped_to_the_first_zip_time(tmp_path, caplog):
+    repo = make_repo(tmp_path / "repo")
+    (repo / "old.txt").write_text("from 1975\n")
+    commit_all(repo, "old", date="1975-01-01T00:00:00 +0000")
+    with caplog.at_level(logging.WARNING):
+        first = export_archive(repo, "HEAD", tmp_path / "one.zip")
+    assert sum("1975" in record.getMessage() for record in caplog.records) == 1
+    second = export_archive(repo, "HEAD", tmp_path / "two.zip")
+    with zipfile.ZipFile(first) as archive:
+        stamps = {info.date_time for info in archive.infolist()}
+    assert stamps == {(1980, 1, 1, 0, 0, 0)}
+    assert first.read_bytes() == second.read_bytes()

@@ -281,6 +281,11 @@ def s_search_non_text_tag(p):
     p.do("search_by_tag", None)
 
 
+def s_search_tag_not_utf8(p):
+    # a tag built from a name os.listdir could not decode
+    p.do("search_by_tag", "t\udce9")
+
+
 def s_tag_change_reopens_published(p):
     record = p.do("create_article", meta())
     p.do("publish_article", record.article_id)
@@ -350,6 +355,7 @@ SCENARIOS = [
     s_add_authors_non_list,
     s_add_authors_not_json,
     s_search_non_text_tag,
+    s_search_tag_not_utf8,
     s_bool_article_id,
     s_float_article_id,
     s_text_article_id,
@@ -365,10 +371,10 @@ def run_scenario_both_ways(scenario, tmp_path):
     facade_depot = Depot()
     server = DepotHttpServer("127.0.0.1:0", facade_depot, TOKEN).start()
     try:
-        client = HttpDepotClient(client_config(server.base_url))
-        remote = Probe(client, tmp_path / "remote")
-        remote.workdir.mkdir()
-        scenario(remote)
+        with HttpDepotClient(client_config(server.base_url)) as client:
+            remote = Probe(client, tmp_path / "remote")
+            remote.workdir.mkdir()
+            scenario(remote)
     finally:
         server.stop()
     return direct, remote, direct_depot, facade_depot
@@ -746,6 +752,7 @@ def test_facade_state_persists_across_server_restarts(tmp_path):
         record = client.create_article(meta(title="persisted"))
         client.publish_article(record.article_id)
     finally:
+        client.close()
         first.stop()
 
     second = DepotHttpServer("127.0.0.1:0", Depot(state_path=state), TOKEN).start()
@@ -755,6 +762,7 @@ def test_facade_state_persists_across_server_restarts(tmp_path):
         assert fetched.meta.title == "persisted"
         assert fetched.status == "published"
     finally:
+        client.close()
         second.stop()
 
 

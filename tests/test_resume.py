@@ -187,7 +187,8 @@ def http_transport():
     depot = Depot()
     server = DepotHttpServer("127.0.0.1:0", depot, TOKEN).start()
     try:
-        yield depot, HttpDepotClient(client_config(server.base_url))
+        with HttpDepotClient(client_config(server.base_url)) as client:
+            yield depot, client
     finally:
         server.stop()
 
