@@ -59,6 +59,8 @@ def load_config(path) -> PublisherConfig:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ParseError(f"bad config {path}: {exc}") from exc
 

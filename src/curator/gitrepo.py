@@ -4,9 +4,11 @@ Archives are assembled from the repository object store rather than a
 working-tree copy, so the result is a pure function of the tree, the
 commit timestamp and the chosen name: entries are sorted, every
 timestamp equals the commit time, and file modes come from the tree.
-The zip is packed here, laid out byte for byte as ``zipfile`` would write
-it, zip64 records included. A commit time outside what a zip can store
-(1980 to 2107) is clamped to the nearest end of that range.
+Every blob is read through one ``git cat-file --batch`` process that
+takes its ids from an unlinked temporary file, so no helper thread runs.
+The zip is packed here, laid out byte for byte as ``zipfile`` would
+write it, zip64 records included. A commit time outside what a zip can
+store (1980 to 2107) is clamped to the nearest end of that range.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import logging
 import re
 import struct
 import subprocess
-import threading
+import tempfile
 import time
 import zlib
 from dataclasses import dataclass
@@ -146,32 +148,32 @@ def export_archive(local_path, commit: str, dest_path, name: str | None = None) 
     prefix = f"{name}-{full[:7]}/"
     entries = _list_tree(path, full)
 
-    # One --buffer process answers every blob id. The ids are written from
-    # a second thread, since all of them can overflow a pipe while the
-    # replies are still unread; git's lookups then overlap compression.
-    reader = subprocess.Popen(
-        ["git", "-C", str(path), "cat-file", "--batch", "--buffer"],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-    )
-    ids = b"".join(sha + b"\n" for _, _, sha in entries)
-    feeder = threading.Thread(target=_feed, args=(reader.stdin, ids), name="cat-file-feed")
-    feeder.start()
+    # One --buffer process answers every blob id, and git's lookups overlap
+    # compression. git reads the ids from a file, not a pipe, so nothing has
+    # to keep writing them while its replies are read.
+    try:
+        with tempfile.TemporaryFile() as ids:
+            ids.write(b"".join(sha + b"\n" for _, _, sha in entries))
+            ids.seek(0)
+            reader = subprocess.Popen(
+                ["git", "-C", str(path), "cat-file", "--batch", "--buffer"],
+                stdin=ids,
+                stdout=subprocess.PIPE,
+            )
+    except OSError as exc:
+        raise IoError(f"cannot run git: {exc.strerror or exc}") from exc
     parts: list[bytes] = []
     central: list[bytes] = []
     offset = 0
-    try:
+    # Leaving the block closes git's stdout first, so a git still writing
+    # exits on EPIPE, and then waits for it.
+    with reader:
         for rel, mode, sha in entries:
             body = _read_blob(reader.stdout, sha, path)
             head, data, record = _zip_entry(prefix + rel, mode, body, dos_time, offset)
             parts += (head, data)
             central.append(record)
             offset += len(head) + len(data)
-    finally:
-        # Closing stdout first makes git exit on EPIPE, which frees the feeder.
-        reader.stdout.close()
-        feeder.join()
-        reader.wait()
     parts += central
     parts.append(_zip_end(len(central), offset, sum(map(len, central))))
     try:
@@ -236,15 +238,6 @@ def _zip_end(count: int, start: int, size: int) -> bytes:
         tail += _LOCATOR64.pack(b"PK\x06\x07", 0, start + size, 1)
         count, size, start = min(count, 0xFFFF), min(size, _MASK32), min(start, _MASK32)
     return tail + _END.pack(b"PK\x05\x06", 0, 0, count, count, size, start, 0)
-
-
-def _feed(pipe, data: bytes) -> None:
-    """Write ``data`` and close ``pipe``; a reader gone early is no error."""
-    try:
-        with pipe:
-            pipe.write(data)
-    except OSError:
-        pass
 
 
 def _read_blob(stream, sha: bytes, path: Path) -> bytes:

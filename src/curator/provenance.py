@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
 from xml.etree import ElementTree
+from xml.parsers import expat
 from xml.sax.saxutils import escape
 
 from .errors import IoError, ParseError, SchemaError
@@ -33,6 +34,10 @@ logger = logging.getLogger(__name__)
 SLOT_NAMES = ("software", "input", "output")
 
 CONSTANT_RE = re.compile(r"<constant\b[^<>]*?/>")
+# One attribute of a well-formed start tag: its name and its quoted value.
+_ATTR_RE = re.compile(r"""\s+([^\s=]+)\s*=\s*("[^"]*"|'[^']*')""")
+# A well-formed start tag and its attributes.
+_START_TAG_RE = re.compile(rf"<[^\s/>]+(?P<attrs>(?:{_ATTR_RE.pattern})*)\s*/?>")
 
 
 @dataclass
@@ -74,6 +79,8 @@ def _read_text(path) -> str:
             return handle.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write_text_atomic(path, text: str) -> None:
@@ -143,20 +150,47 @@ def read_publish_options(project_path) -> PublishOptions:
 
 
 def _set_attr(attrs: str, name: str, value: str) -> str:
-    quoted = escape(value, {'"': "&quot;"})
-    pattern = re.compile(rf'{name}="[^"]*"')
-    if pattern.search(attrs):
-        return pattern.sub(f'{name}="{quoted}"', attrs, count=1)
-    base = attrs if attrs.strip() else ""
-    return f'{base} {name}="{quoted}"'
+    quoted = '"' + escape(value, {'"': "&quot;"}) + '"'
+    for match in _ATTR_RE.finditer(attrs):
+        if match.group(1) == name:
+            return attrs[: match.start(2)] + quoted + attrs[match.end(2) :]
+    return f"{attrs} {name}={quoted}"
+
+
+def _slot_offsets(text: str, slot: str) -> tuple[int | None, int | None]:
+    """Where the start tags of the root's first <publish> child and of that
+    element's first <slot> child begin in ``text``, the elements
+    ``read_publish_options`` reads; None for a missing one."""
+    parser = expat.ParserCreate(namespace_separator="}")
+    open_tags: list[tuple[str, int]] = []
+    found: dict[str, tuple[str, int]] = {}
+
+    def start(name, _attrs):
+        open_tags.append((name, parser.CurrentByteIndex))
+        if len(open_tags) == 2 and name == "publish":
+            found.setdefault(name, open_tags[1])
+        elif len(open_tags) == 3 and name == slot and open_tags[1] == found.get("publish"):
+            found.setdefault(name, open_tags[2])
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = lambda _name: open_tags.pop()
+    parser.Parse(text, True)
+    # expat gives offsets in bytes of the text's UTF-8 form
+    data = text.encode("utf-8")
+    return tuple(
+        len(data[: found[name][1]].decode("utf-8")) if name in found else None
+        for name in ("publish", slot)
+    )
 
 
 def write_publication_ids(project_path, slot: str, article_id: int, doi: str) -> None:
     """Record an article id and DOI on one slot element.
 
-    The rewrite is textual: unrelated bytes survive untouched, repeated
-    writes with the same values leave the file byte-identical, and the
-    replacement lands atomically via a temp file and rename.
+    The rewrite is textual: only the start tag of the slot that
+    ``read_publish_options`` reads changes, so comments, CDATA and other
+    elements named like a slot are left alone. Repeated writes with the
+    same values leave the file byte-identical, and the replacement lands
+    atomically via a temp file and rename.
     """
     if slot not in SLOT_NAMES:
         raise ValueError(f"unknown slot {slot!r}")
@@ -164,21 +198,24 @@ def write_publication_ids(project_path, slot: str, article_id: int, doi: str) ->
     text = _read_text(path)
     _parse_project(text, path)
 
-    slot_re = re.compile(rf"<{slot}(\s[^<>]*?)?(/?)>")
+    publish, at = _slot_offsets(text, slot)
+    if publish is None:
+        raise SchemaError(f"{path}: no <publish> element to record ids in")
     edited = text
-    match = slot_re.search(edited)
+    if at is None:
+        open_tag = _START_TAG_RE.match(text, publish)
+        if open_tag is None or open_tag[0].endswith("/>"):
+            raise SchemaError(f"{path}: <publish> is self-closing or an entity, cannot hold slots")
+        before = text[:publish]
+        indent = before[len(before.rstrip(" \t")) :] + "  "
+        at = open_tag.end() + 1 + len(indent)
+        edited = f"{text[: open_tag.end()]}\n{indent}<{slot}/>{text[open_tag.end() :]}"
+    match = _START_TAG_RE.match(edited, at)
     if match is None:
-        open_match = re.search(r"([ \t]*)<publish\b[^<>]*?(/?)>", text)
-        if open_match is None:
-            raise SchemaError(f"{path}: no <publish> element to record ids in")
-        if open_match.group(2) == "/":
-            raise SchemaError(f"{path}: <publish> is self-closing, cannot hold slots")
-        indent = open_match.group(1) + "  "
-        edited = f"{text[: open_match.end()]}\n{indent}<{slot}/>{text[open_match.end() :]}"
-        match = slot_re.search(edited)
-    attrs = _set_attr(match.group(1) or "", "article_id", str(article_id))
+        raise SchemaError(f"{path}: <{slot}> comes from an entity, cannot record ids in it")
+    attrs = _set_attr(match["attrs"], "article_id", str(article_id))
     attrs = _set_attr(attrs, "doi", doi)
-    updated = f"{edited[: match.start()]}<{slot}{attrs}{match.group(2)}>{edited[match.end() :]}"
+    updated = f"{edited[: match.start('attrs')]}{attrs}{edited[match.end('attrs') :]}"
     if updated != text:
         _parse_project(updated, path)
         _write_text_atomic(path, updated)

@@ -140,6 +140,23 @@ def test_malformed_project_file(tmp_path, capsys):
     assert read_error(capsys).startswith("error: ParseError:")
 
 
+@pytest.mark.parametrize("target", ["project", "stat", "config"])
+def test_file_that_is_not_utf8_is_one_line_error(tmp_path, capsys, target):
+    sim = make_sim_dir(tmp_path / "sim")
+    project = sim / "top_hat.xml"
+    run_simulation(sim)
+    config = write_http_config(tmp_path / "cfg", "http://127.0.0.1:9")
+    latin1 = {"project": project, "stat": sim / "top_hat.stat", "config": config}[target]
+    comment = b"# caf\xe9\n" if target == "config" else b"<!-- caf\xe9 -->\n"
+    latin1.write_bytes(latin1.read_bytes() + comment)
+    if target == "config":
+        argv = ["publish-input", "-p", str(project), "-c", str(config)]
+    else:
+        argv = ["publish-all", *mock_args(project, "--repo", str(make_repo(tmp_path / "repo")))]
+    assert run(argv) == 1
+    assert read_error(capsys).startswith(f"error: ParseError: {latin1} is not UTF-8 text")
+
+
 def test_publishing_disabled(tmp_path, capsys):
     project = write_project(tmp_path / "top_hat.xml", enabled="false")
     assert run(["publish-input", *mock_args(project)]) == 1

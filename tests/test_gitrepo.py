@@ -256,6 +256,26 @@ def test_export_with_a_missing_blob_raises_and_leaves_nothing_running(tmp_path):
     assert not (tmp_path / "out.zip").exists()
 
 
+@pytest.mark.parametrize("stage", ["id file", "git"])
+def test_export_that_cannot_start_cat_file_raises_io_error(tmp_path, monkeypatch, stage):
+    repo = make_repo(tmp_path / "repo")
+    popen = subprocess.Popen
+
+    def refuse(*args, **kwargs):
+        raise OSError(24, "Too many open files")
+
+    def refuse_cat_file(argv, *args, **kwargs):
+        return refuse() if "cat-file" in argv else popen(argv, *args, **kwargs)
+
+    if stage == "id file":
+        monkeypatch.setattr(gitrepo.tempfile, "TemporaryFile", refuse)
+    else:
+        monkeypatch.setattr(gitrepo.subprocess, "Popen", refuse_cat_file)
+    with pytest.raises(IoError, match="Too many open files"):
+        export_archive(repo, "HEAD", tmp_path / "out.zip")
+    assert not (tmp_path / "out.zip").exists()
+
+
 def _zipfile_reference(repo: Path, name: str) -> bytes:
     """The archive of HEAD as ``zipfile`` writes it, blob by blob."""
     head = git(repo, "rev-parse", "HEAD")

@@ -4,6 +4,7 @@ import glob
 import os
 import random
 import re
+from xml.etree import ElementTree
 
 import pytest
 
@@ -198,6 +199,53 @@ def test_write_ids_preserves_unrelated_bytes(tmp_path):
             '      <software article_id="2" doi="10.5072/mockdepot.2"/>',
         )
     ]
+
+
+_SLOT_DOCUMENTS = {
+    "comment": ("<!-- <output patterns='*.dat'/> -->\n", '<output patterns="*.vtu"/>'),
+    "cdata": ("<![CDATA[ <output patterns='*.dat'/> ]]>\n", '<output patterns="*.vtu"/>'),
+    "outside-publish": ("<archive><output/></archive>\n", '<output patterns="*.vtu"/>'),
+    "suffix": ("", '<output patterns="*.vtu" olddoi="keep" xarticle_id="7"/>'),
+    "single-quotes": ("", "<output patterns='*.vtu' article_id='3' doi = '10.5072/mockdepot.3'>"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SLOT_DOCUMENTS))
+def test_write_ids_edits_only_the_slot_that_is_read(tmp_path, case):
+    decoy, tag = _SLOT_DOCUMENTS[case]
+    before = (
+        f"<simulation name='sim'>\n  {decoy}"
+        "  <publish enabled='true'>\n    <input patterns='*.msh'/>\n    "
+    )
+    after = ("</output>" if tag.endswith("'>") else "") + "\n  </publish>\n</simulation>\n"
+    path = tmp_path / "sim.xml"
+    path.write_text(before + tag + after)
+    old_attrib = ElementTree.fromstring(before + tag + after).find("publish/output").attrib
+    write_publication_ids(path, "output", 9, "10.5072/mockdepot.9")
+    text = path.read_text()
+    assert text.startswith(before) and text.endswith(after)
+    new_attrib = ElementTree.fromstring(text).find("publish/output").attrib
+    assert new_attrib == {**old_attrib, "article_id": "9", "doi": "10.5072/mockdepot.9"}
+    state = read_publish_options(path).slot("output")
+    assert (state.article_id, state.doi) == (9, "10.5072/mockdepot.9")
+
+
+@pytest.mark.parametrize(
+    "entity", ["<output patterns='*.vtu'/>", "<publish enabled='true'></publish>"]
+)
+def test_write_ids_refuses_a_slot_from_an_entity(tmp_path, entity):
+    # the element has no start tag of its own in the file to edit
+    path = tmp_path / "sim.xml"
+    original = (
+        f'<!DOCTYPE simulation [<!ENTITY slot "{entity}">]>\n'
+        "<simulation name='sim'>\n"
+        + ("  <publish enabled='true'>&slot;</publish>\n" if "output" in entity else "  &slot;\n")
+        + "</simulation>\n"
+    )
+    path.write_text(original)
+    with pytest.raises(SchemaError):
+        write_publication_ids(path, "output", 9, "10.5072/mockdepot.9")
+    assert path.read_text() == original
 
 
 def test_write_ids_inserts_missing_slot_element(tmp_path):
