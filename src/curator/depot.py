@@ -2,13 +2,13 @@
 
 A small state machine that implements the full :class:`DepotClient`
 contract so the publication workflow can run with no network at all.
-Every mutation is appended to an op log for test observability and, when
-a state file is given, as one line to an append-only JSONL log: the
-touched article's record in wire form. Replaying that log restores heads,
-published versions and pending changes in a restarted process; file bytes
-stay process-local. The HTTP facade reaches it
-through :meth:`Depot.handle`, which decodes, calls and encodes with the
-operation table in :mod:`curator.client`.
+Every mutation hands the touched article's new record to one state rule,
+:meth:`Depot._apply`, and is appended to an op log for test observability
+and, when a state file is given, as one wire-form line to an append-only
+JSONL log. Replay applies each line with the same rule, so a restarted
+process gets the same state; file bytes stay process-local. The HTTP
+facade reaches it through :meth:`Depot.handle`, which decodes, calls
+and encodes with the operation table in :mod:`curator.client`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .client import (
     record_from_wire,
     record_to_wire,
 )
-from .errors import AlreadyMinted, InvalidMeta, NotFound, NothingToPublish, ParseError
+from .errors import InvalidMeta, NotFound, NothingToPublish, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -46,11 +46,12 @@ DOI_PREFIX = "10.5072/mockdepot"
 class StoredArticle:
     """Server-side state for one article.
 
-    ``doi`` holds the minted value; it appears on ``head`` only once the
-    first publish completes. ``dirty`` tracks whether changes are pending
-    since the last publish. ``published_versions`` holds, per published
-    version, a copy of the record ``get_article`` returned right after that
-    publish; the copies share no list with ``head`` and are never mutated.
+    ``head`` is replaced by each change, never edited, and ``doi`` is its
+    DOI. ``dirty`` tracks whether changes are pending since the last
+    publish. ``published_versions`` holds, per published version, a copy
+    of the record ``get_article`` returned right after that publish; the
+    copies share no list with ``head``. Only :meth:`Depot._apply` sets
+    ``dirty`` and grows ``published_versions``.
     """
 
     head: ArticleRecord
@@ -124,10 +125,10 @@ def _validate_replayed(payload: dict, record: ArticleRecord) -> None:
     _validate_author_ids(payload.get("authors", []))
     for entry in record.files:
         _validate_file_name(entry.name)
-    if record.status not in ("draft", "published"):
-        raise InvalidMeta("status must be draft or published")
-    if record.doi is not None and not isinstance(record.doi, str):
-        raise InvalidMeta("doi must be text or null")
+    if record.status == "published" and record.version > 0:
+        _require_text(record.doi, "a published record's doi")
+    elif (record.status, record.version, record.doi) != ("draft", 0, None):
+        raise InvalidMeta("draft: version 0 and no doi; published: version 1 or more and a doi")
 
 
 class Depot(DepotClient):
@@ -136,14 +137,14 @@ class Depot(DepotClient):
     All operations are serialized behind one lock, so concurrent callers
     observe a single linear history (the op log). Pass ``state_path`` to
     persist the depot across restarts as an append-only log, one record
-    line per mutation: article records, published versions and pending
-    changes survive; the op log and file bytes are process-local and
-    start fresh each run.
+    line per mutation, replayed through the rule the live operations use
+    (:meth:`_apply`): article records, published versions and pending
+    changes survive; the op log and file bytes start fresh each run.
     """
 
     def __init__(self, state_path=None):
         self.state = DepotState()
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._state_path = Path(state_path) if state_path else None
         if self._state_path is not None and self._state_path.exists():
             self._load()
@@ -164,8 +165,31 @@ class Depot(DepotClient):
         # exactly the information the HTTP facade can.
         return record_from_wire(record_to_wire(record))
 
-    def _log(self, op: str, article_id: int, detail: str) -> None:
-        self.state.op_log.append((op, article_id, detail))
+    def _apply(self, record: ArticleRecord) -> None:
+        """Make ``record`` its article's head. A published record whose
+        version differs from the previous head's is frozen as that version;
+        any other record leaves changes pending."""
+        article = self.state.articles.get(record.article_id)
+        frozen = record.status == "published" and (
+            article is None or article.head.version != record.version
+        )
+        if article is None:
+            article = self.state.articles[record.article_id] = StoredArticle(record)
+        article.head = record
+        article.doi = record.doi
+        article.dirty = not frozen
+        if frozen:
+            # FileEntry objects are never mutated in place, so copying the
+            # lists is enough to keep the published record frozen.
+            meta = replace(record.meta, tags=list(record.meta.tags))
+            article.published_versions.append(ArticleRecord(
+                record.article_id, meta, record.status, record.version,
+                record.doi, list(record.files), list(record.authors),
+            ))
+
+    def _log(self, op: str, head: ArticleRecord, detail: str) -> None:
+        self._apply(head)
+        self.state.op_log.append((op, head.article_id, detail))
         self._save()
 
     def _save(self) -> None:
@@ -178,9 +202,8 @@ class Depot(DepotClient):
             handle.write(line.encode("utf-8"))
 
     def _load(self) -> None:
-        """Replay the log: an article's last line is its head, the first line
-        at each published version is that version's frozen record, and a
-        later line at the same version means changes are pending."""
+        """Replay the log, passing each line to :meth:`_apply` in order, as
+        the live operations did when they wrote it."""
         data = self._state_path.read_bytes()
         end = data.rfind(b"\n") + 1
         replayed = max_file_id = 0
@@ -198,22 +221,7 @@ class Depot(DepotClient):
                     f" ({exc.__class__.__name__}: {exc})"
                 ) from exc
             replayed += 1
-            article = self.state.articles.get(record.article_id)
-            if article is None:
-                article = self.state.articles[record.article_id] = StoredArticle(record)
-            article.head = record
-            article.doi = record.doi
-            if record.status == "published":
-                versions = article.published_versions
-                article.dirty = bool(versions) and versions[-1].version == record.version
-                if not article.dirty:
-                    # FileEntry objects are never mutated in place, so copying
-                    # the lists is enough to keep the published record frozen.
-                    meta = replace(record.meta, tags=list(record.meta.tags))
-                    versions.append(ArticleRecord(
-                        record.article_id, meta, record.status, record.version,
-                        record.doi, list(record.files), list(record.authors),
-                    ))
+            self._apply(record)
         torn = len(data) - end
         if torn:
             logger.warning(
@@ -241,8 +249,7 @@ class Depot(DepotClient):
             article_id = self.state.next_article_id
             self.state.next_article_id += 1
             head = ArticleRecord(article_id, replace(meta, tags=list(meta.tags)))
-            self.state.articles[article_id] = StoredArticle(head=head)
-            self._log("create_article", article_id, meta.title)
+            self._log("create_article", head, meta.title)
             return self._copy_record(head)
 
     def upload_bytes(self, article_id: int, name: str, body: bytes) -> FileEntry:
@@ -258,15 +265,14 @@ class Depot(DepotClient):
             )
             self.state.next_file_id += 1
             article.blobs[entry.file_id] = bytes(body)
-            files = article.head.files
+            files = list(article.head.files)
             for index, existing in enumerate(files):
                 if existing.name == name:
                     files[index] = entry
                     break
             else:
                 files.append(entry)
-            article.dirty = True
-            self._log("upload_file", article_id, name)
+            self._log("upload_file", replace(article.head, files=files), name)
             return FileEntry(**vars(entry))
 
     def search_by_tag(self, tag: str) -> list[ArticleRecord]:
@@ -285,50 +291,36 @@ class Depot(DepotClient):
         with self._lock:
             article = self._get(article_id)
             _require_text(tag, "tag")
-            if tag not in article.head.meta.tags:
-                article.head.meta.tags.append(tag)
-                article.dirty = True
-                self._log("add_tag", article_id, tag)
-            return self._copy_record(article.head)
+            head = article.head
+            if tag not in head.meta.tags:
+                head = replace(head, meta=replace(head.meta, tags=[*head.meta.tags, tag]))
+                self._log("add_tag", head, tag)
+            return self._copy_record(head)
 
     def add_authors(self, article_id: int, author_ids) -> ArticleRecord:
         with self._lock:
             article = self._get(article_id)
             _validate_author_ids(author_ids)
+            head = article.head
             added = []
             for author_id in author_ids:
-                if author_id not in article.head.authors:
-                    article.head.authors.append(author_id)
+                if author_id not in head.authors and author_id not in added:
                     added.append(author_id)
             if added:
-                article.dirty = True
-                self._log(
-                    "add_authors", article_id, ",".join(str(a) for a in added)
-                )
-            return self._copy_record(article.head)
-
-    def mint_doi(self, article_id: int) -> str:
-        with self._lock:
-            article = self._get(article_id)
-            if article.doi is not None:
-                raise AlreadyMinted(f"article {article_id} already has {article.doi}")
-            article.doi = f"{DOI_PREFIX}.{article_id}"
-            self._log("mint_doi", article_id, article.doi)
-            return article.doi
+                head = replace(head, authors=[*head.authors, *added])
+                self._log("add_authors", head, ",".join(str(a) for a in added))
+            return self._copy_record(head)
 
     def publish_article(self, article_id: int) -> tuple[str, int]:
         with self._lock:
             article = self._get(article_id)
             if article.head.status == "published" and not article.dirty:
                 raise NothingToPublish(f"article {article_id} has no pending changes")
-            doi = article.doi if article.doi is not None else self.mint_doi(article_id)
-            article.head.version += 1
-            article.head.status = "published"
-            article.head.doi = doi
-            article.published_versions.append(self._copy_record(article.head))
-            article.dirty = False
-            self._log("publish_article", article_id, f"version={article.head.version}")
-            return doi, article.head.version
+            doi = article.head.doi or f"{DOI_PREFIX}.{article_id}"
+            version = article.head.version + 1
+            head = replace(article.head, status="published", version=version, doi=doi)
+            self._log("publish_article", head, f"version={version}")
+            return doi, version
 
     def get_article(self, article_id: int) -> ArticleRecord:
         with self._lock:

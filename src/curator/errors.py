@@ -35,10 +35,6 @@ class NothingToPublish(CuratorError):
     """Publish was requested but no draft changes are pending."""
 
 
-class AlreadyMinted(CuratorError):
-    """A DOI has already been assigned to this article."""
-
-
 class Conflict(CuratorError):
     """Depot-side state conflict not covered by a more specific kind."""
 
@@ -86,7 +82,6 @@ STATUS_BY_KIND = {
     AuthFailure: 401,
     NotFound: 404,
     Conflict: 409,
-    AlreadyMinted: 409,
     NothingToPublish: 409,
     InvalidMeta: 422,
 }

@@ -246,13 +246,15 @@ def expand_patterns(patterns, base_dir) -> list[Path]:
 
 def _upsert_constant(text: str, name: str, value: str, path) -> str:
     element = f'<constant name="{name}" type="string" value="{escape(value, {chr(34): "&quot;"})}"/>'
-    pattern = re.compile(rf'<constant\b[^<>]*?\sname="{re.escape(name)}"[^<>]*?/>')
-    match = pattern.search(text)
-    if match:
-        return text[: match.start()] + element + text[match.end() :]
+    named = re.compile(rf'\sname="{re.escape(name)}"')
     last = None
-    for last in CONSTANT_RE.finditer(text):
-        pass
+    for match in CONSTANT_RE.finditer(text):
+        opened = text.rfind("<!--", 0, match.start())
+        if opened >= 0 and text.find("-->", opened + 4, match.start()) < 0:
+            continue  # inside a comment, closed or not
+        if named.search(match.group()):
+            return text[: match.start()] + element + text[match.end() :]
+        last = match
     if last is None:
         raise ParseError(f"{path}: no <constant> header block found")
     line_start = text.rfind("\n", 0, last.start()) + 1

@@ -236,24 +236,17 @@ def _log_software(
 class Publisher:
     """Drives the depot client through complete publication workflows.
 
-    One instance runs one publication at a time. ``fileset_authors``
-    optionally applies a fixed author-id list to published filesets;
-    by default only software articles get authors (from AUTHORS files).
+    One instance runs one publication at a time. Only software articles
+    get authors (from AUTHORS files); filesets get none.
     """
 
-    def __init__(
-        self,
-        client: DepotClient,
-        default_category: str = "",
-        fileset_authors: list[int] | None = None,
-    ):
+    def __init__(self, client: DepotClient, default_category: str = ""):
         self.client = client
         self._default_category = default_category
-        self._fileset_authors = list(fileset_authors or [])
 
     # -- software -----------------------------------------------------
 
-    def find_software(self, name: str, commit: str):
+    def find_software(self, commit: str):
         """Look up an existing publication of this exact revision.
 
         Returns (article_id, doi) or None. Several matches should not
@@ -282,7 +275,7 @@ class Publisher:
         if not COMMIT_HASH_RE.match(identity.commit or ""):
             raise InvalidMeta("commit must be a full 40-hex lowercase hash")
 
-        found = self.find_software(identity.name, identity.commit)
+        found = self.find_software(identity.commit)
         if found is not None and found[1] is not None:
             return _log_software(SoftwareResult(*found, reused=True), started)
 
@@ -364,9 +357,6 @@ class Publisher:
             _stamp(path, before, now)
             uploaded.append(path)
             uploaded_bytes += entry.size
-
-        if self._fileset_authors:
-            self.client.add_authors(article_id, self._fileset_authors)
 
         try:
             doi, _ = self.client.publish_article(article_id)

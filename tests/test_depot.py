@@ -11,7 +11,6 @@ import pytest
 from curator.client import ArticleMeta, record_to_wire
 from curator.depot import DOI_PREFIX, Depot
 from curator.errors import (
-    AlreadyMinted,
     CuratorError,
     InvalidMeta,
     NotFound,
@@ -142,12 +141,10 @@ def test_mint_doi_formatting_and_guard():
     depot = Depot()
     for _ in range(42):
         depot.create_article(meta())
-    assert depot.mint_doi(42) == "10.5072/mockdepot.42"
-    with pytest.raises(AlreadyMinted):
-        depot.mint_doi(42)
-    # publishing afterwards keeps the pre-minted value
-    doi, version = depot.publish_article(42)
-    assert (doi, version) == ("10.5072/mockdepot.42", 1)
+    assert depot.publish_article(42) == ("10.5072/mockdepot.42", 1)
+    # a later version keeps the value the first publish minted
+    depot.add_tag(42, "again")
+    assert depot.publish_article(42) == ("10.5072/mockdepot.42", 2)
 
 
 def test_minted_dois_pairwise_distinct():
@@ -155,13 +152,13 @@ def test_minted_dois_pairwise_distinct():
     dois = set()
     for _ in range(100):
         article = depot.create_article(meta())
-        dois.add(depot.mint_doi(article.article_id))
+        dois.add(depot.publish_article(article.article_id)[0])
     assert len(dois) == 100
 
 
 def test_mint_doi_missing_article(depot):
     with pytest.raises(NotFound):
-        depot.mint_doi(7)
+        depot.publish_article(7)
 
 
 def test_tags_and_authors_are_deduplicated(depot):
@@ -229,7 +226,6 @@ def test_op_log_counts_only_successful_mutations(depot):
         "create_article",
         "upload_file",
         "add_tag",
-        "mint_doi",
         "publish_article",
     ]
 
@@ -398,8 +394,59 @@ def test_load_reports_what_it_replayed(tmp_path, caplog):
     (message,) = [r.message for r in caplog.records if r.levelno == logging.INFO]
     assert message.startswith("loaded 2 article(s) from ")
     assert message.endswith(
-        "4 line(s) replayed, 1 with unpublished changes, 13 torn byte(s) dropped"
+        "3 line(s) replayed, 1 with unpublished changes, 13 torn byte(s) dropped"
     )
+
+
+def stored_state(depot):
+    """Everything a restart must restore: per article, the head, published
+    versions, DOI and pending flag; and both id counters."""
+    articles = {
+        article_id: (article.head, article.published_versions, article.doi, article.dirty)
+        for article_id, article in depot.state.articles.items()
+    }
+    return articles, depot.state.next_article_id, depot.state.next_file_id
+
+
+def test_create_then_publish_writes_two_lines(tmp_path):
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
+    article_id = depot.create_article(meta()).article_id
+    depot.publish_article(article_id)
+    lines = [json.loads(line) for line in state.read_text().splitlines()]
+    assert [(line["status"], line["doi"]) for line in lines] == [
+        ("draft", None),
+        ("published", f"{DOI_PREFIX}.{article_id}"),
+    ]
+
+
+# Create plus publish as earlier versions logged it: the first publish
+# minted the DOI in a step of its own, which repeated the draft line.
+OLD_CREATE_LINE = (
+    '{"article_id": 1, "authors": [], "category": "", "description": "", "doi": null,'
+    ' "files": [], "kind": "fileset", "status": "draft", "tags": ["x"], "title": "wave",'
+    ' "version": 0}\n'
+)
+OLD_PUBLISH_LINE = (
+    '{"article_id": 1, "authors": [], "category": "", "description": "",'
+    ' "doi": "10.5072/mockdepot.1", "files": [], "kind": "fileset", "status": "published",'
+    ' "tags": ["x"], "title": "wave", "version": 1}\n'
+)
+
+
+def test_log_with_a_repeated_draft_line_loads_as_the_two_line_log(tmp_path):
+    old = tmp_path / "old.jsonl"
+    old.write_text(OLD_CREATE_LINE + OLD_CREATE_LINE + OLD_PUBLISH_LINE)
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
+    depot.publish_article(depot.create_article(ArticleMeta(title="wave", tags=["x"])).article_id)
+    assert state.read_text() == OLD_CREATE_LINE + OLD_PUBLISH_LINE
+
+    reloaded = Depot(state_path=old)
+    assert stored_state(reloaded) == stored_state(Depot(state_path=state))
+    assert len(reloaded.state.articles[1].published_versions) == 1
+    with pytest.raises(NothingToPublish):
+        reloaded.publish_article(1)
 
 
 def test_published_versions_equal_get_article_at_each_version(depot):
@@ -458,9 +505,15 @@ REPLAYED = {
         {"title": ""},
         {"doi": 7},
         {"files": [{"file_id": 1, "name": "../x", "size": 1, "md5": "0" * 32}]},
+        {"version": 3},
+        {"doi": "10.5072/x"},
+        {"status": "published"},
+        {"status": "published", "version": 1},
+        {"status": "published", "version": 1, "doi": ""},
     ],
     ids=["text-tags", "text-authors", "zero-author", "status", "kind", "empty-title",
-         "number-doi", "path-file-name"],
+         "number-doi", "path-file-name", "draft-version", "draft-doi",
+         "published-version-0", "published-without-doi", "published-empty-doi"],
 )
 def test_replayed_records_meet_the_live_checks(tmp_path, change):
     state = tmp_path / "depot.jsonl"
@@ -666,10 +719,12 @@ def _draw_op(rng, known_ids):
     return ("search", (rng.choice(["x", "y", "a", "nope"]),))
 
 
-def test_random_op_sequences_match_replay_model():
+def test_random_op_sequences_match_replay_model(tmp_path):
     rng = random.Random(20140523)
-    for _ in range(100):
+    for run in range(100):
+        state = tmp_path / f"{run}.jsonl"
         depot = Depot()
+        persisted = Depot(state_path=state)
         model = ModelDepot()
         known = []
         for _ in range(rng.randint(3, 20)):
@@ -677,7 +732,9 @@ def test_random_op_sequences_match_replay_model():
             expected = model.apply(op, args)
             actual = _apply_to_depot(depot, op, args)
             assert actual == expected
+            assert _apply_to_depot(persisted, op, args) == expected
             if op == "create" and expected[0] == "ok":
                 known.append(expected[1]["article_id"])
         for article_id in known:
             assert record_to_wire(depot.get_article(article_id)) == model.get(article_id)[1]
+        assert stored_state(Depot(state_path=state)) == stored_state(persisted)

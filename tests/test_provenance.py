@@ -460,6 +460,26 @@ def test_inject_does_not_touch_similar_names(tmp_path):
     assert len(re.findall(r'name="SoftwareDOI"', text)) == 1
 
 
+@pytest.mark.parametrize(
+    "comment",
+    [
+        '<!-- <constant name="SoftwareDOI" type="string" value="old"/> -->\n',
+        '<!-- <constant name="Retired" type="string" value="old"/> -->\n',
+    ],
+    ids=["named-constant-in-comment", "comment-after-last-constant"],
+)
+def test_inject_ignores_constants_inside_comments(tmp_path, comment):
+    path = tmp_path / "sim.stat"
+    path.write_text(STAT_HEADER + comment + "0.0 1.5\n")
+    inject_provenance(path, CONSTANTS)
+    text = path.read_text()
+    assert comment in text
+    live = text.replace(comment, "")
+    assert '<constant name="SoftwareDOI" type="string" value="10.5072/mockdepot.1"/>' in live
+    assert '<constant name="InputDataDOI" type="string" value="10.5072/mockdepot.2"/>' in live
+    assert f'<constant name="FluidityVersion" type="string" value="{"a" * 40}"/>' in live
+
+
 def test_inject_requires_a_constant_block(tmp_path):
     path = tmp_path / "empty.stat"
     path.write_text("<header>\n</header>\n")

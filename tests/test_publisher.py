@@ -226,13 +226,13 @@ def test_find_software_prefers_lowest_id_with_warning(tmp_path, caplog):
     depot.add_tag(b.article_id, tag)
     depot.add_tag(a.article_id, tag)
     with caplog.at_level(logging.WARNING):
-        found = Publisher(depot).find_software("x", tag)
+        found = Publisher(depot).find_software(tag)
     assert found[0] == a.article_id
     assert any("lowest" in record.message for record in caplog.records)
 
 
 def test_find_software_empty_depot():
-    assert Publisher(Depot()).find_software("x", "a" * 40) is None
+    assert Publisher(Depot()).find_software("a" * 40) is None
 
 
 @pytest.mark.parametrize(
@@ -543,11 +543,6 @@ def test_publish_data_rejects_bad_requests(tmp_path):
 def test_publish_data_optional_fileset_authors(tmp_path):
     depot = Depot()
     paths = _data_files(tmp_path, count=1)
-    result = Publisher(depot, fileset_authors=[42, 43]).publish_data(
-        FilesetSpec(title="with authors", paths=paths)
-    )
-    assert depot.get_article(result.article_id).authors == [42, 43]
-
     plain = Publisher(depot).publish_data(
         FilesetSpec(title="without authors", paths=paths)
     )
