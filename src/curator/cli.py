@@ -80,7 +80,11 @@ def _open_client(args):
         config = load_config(config_path)
         if config.depot is None:
             raise ParseError(f"{config_path}: missing [depot] section")
-        with HttpDepotClient(config.depot) as client:
+        try:
+            client = HttpDepotClient(config.depot)
+        except ValueError as exc:
+            raise ParseError(f"{config_path}: {exc}") from exc
+        with client:
             yield client, config.default_category
         return
     category = DEFAULT_CATEGORY

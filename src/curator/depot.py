@@ -6,9 +6,9 @@ Every mutation hands the touched article's new record to one state rule,
 :meth:`Depot._apply`, and is appended to an op log for test observability
 and, when a state file is given, as one wire-form line to an append-only
 JSONL log. Replay applies each line with the same rule, so a restarted
-process gets the same state; file bytes stay process-local. The HTTP
-facade reaches it through :meth:`Depot.handle`, which decodes, calls
-and encodes with the operation table in :mod:`curator.client`.
+process gets the same state; an upload keeps its file's record, never its
+bytes. The HTTP facade reaches it through :meth:`Depot.handle`, which
+decodes, calls and encodes with the operation table in :mod:`curator.client`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .client import (
     record_from_wire,
     record_to_wire,
 )
-from .errors import InvalidMeta, NotFound, NothingToPublish, ParseError
+from .errors import InvalidMeta, IoError, NotFound, NothingToPublish, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +44,7 @@ DOI_PREFIX = "10.5072/mockdepot"
 
 @dataclass
 class StoredArticle:
-    """Server-side state for one article.
+    """Server-side state for one article: records, never file bytes.
 
     ``head`` is replaced by each change, never edited, and ``doi`` is its
     DOI. ``dirty`` tracks whether changes are pending since the last
@@ -58,7 +58,6 @@ class StoredArticle:
     published_versions: list[ArticleRecord] = field(default_factory=list)
     doi: str | None = None
     dirty: bool = True
-    blobs: dict[int, bytes] = field(default_factory=dict)
 
 
 @dataclass
@@ -116,8 +115,10 @@ def _validate_author_ids(author_ids) -> None:
             raise InvalidMeta("author ids must be positive integers")
 
 
-def _validate_replayed(payload: dict, record: ArticleRecord) -> None:
-    """Hold a replayed state line to the checks the live operations apply.
+def _validate_replayed(payload: dict, record: ArticleRecord, article: StoredArticle | None) -> None:
+    """Hold a replayed state line to the checks the live operations apply,
+    ``article`` being its article as replayed so far: after a head, a live
+    operation writes the same version or the next, and never a new DOI.
     Authors are checked in ``payload``, before ``record_from_wire`` lists them."""
     if type(record.article_id) is not int or type(record.version) is not int:
         raise InvalidMeta("article_id and version must be integers")
@@ -129,6 +130,12 @@ def _validate_replayed(payload: dict, record: ArticleRecord) -> None:
         _require_text(record.doi, "a published record's doi")
     elif (record.status, record.version, record.doi) != ("draft", 0, None):
         raise InvalidMeta("draft: version 0 and no doi; published: version 1 or more and a doi")
+    if article is not None:
+        previous = article.head
+        if record.version - previous.version not in (0, 1):
+            raise InvalidMeta(f"version went {previous.version} -> {record.version}")
+        if previous.doi is not None and record.doi != previous.doi:
+            raise InvalidMeta(f"doi went {previous.doi} -> {record.doi}")
 
 
 class Depot(DepotClient):
@@ -138,8 +145,7 @@ class Depot(DepotClient):
     observe a single linear history (the op log). Pass ``state_path`` to
     persist the depot across restarts as an append-only log, one record
     line per mutation, replayed through the rule the live operations use
-    (:meth:`_apply`): article records, published versions and pending
-    changes survive; the op log and file bytes start fresh each run.
+    (:meth:`_apply`): everything but the op log survives a restart.
     """
 
     def __init__(self, state_path=None):
@@ -198,13 +204,19 @@ class Depot(DepotClient):
             return
         head = self.state.articles[self.state.op_log[-1][1]].head
         line = json.dumps(record_to_wire(head), sort_keys=True) + "\n"
-        with open(self._state_path, "ab") as handle:
-            handle.write(line.encode("utf-8"))
+        try:
+            with open(self._state_path, "ab") as handle:
+                handle.write(line.encode("utf-8"))
+        except OSError as exc:
+            raise IoError(f"cannot write {self._state_path}: {exc.strerror or exc}") from exc
 
     def _load(self) -> None:
         """Replay the log, passing each line to :meth:`_apply` in order, as
         the live operations did when they wrote it."""
-        data = self._state_path.read_bytes()
+        try:
+            data = self._state_path.read_bytes()
+        except OSError as exc:
+            raise IoError(f"cannot read {self._state_path}: {exc.strerror or exc}") from exc
         end = data.rfind(b"\n") + 1
         replayed = max_file_id = 0
         for number, line in enumerate(data[:end].split(b"\n"), 1):
@@ -213,7 +225,7 @@ class Depot(DepotClient):
             try:
                 payload = json.loads(line.decode("utf-8"))
                 record = record_from_wire(payload)
-                _validate_replayed(payload, record)
+                _validate_replayed(payload, record, self.state.articles.get(record.article_id))
                 max_file_id = max([max_file_id, *(entry.file_id for entry in record.files)])
             except (ValueError, KeyError, TypeError, AttributeError, InvalidMeta) as exc:
                 raise ParseError(
@@ -227,7 +239,10 @@ class Depot(DepotClient):
             logger.warning(
                 "dropping %d byte(s) of a torn final line in %s", torn, self._state_path
             )
-            os.truncate(self._state_path, end)
+            try:
+                os.truncate(self._state_path, end)
+            except OSError as exc:
+                raise IoError(f"cannot truncate {self._state_path}: {exc.strerror or exc}") from exc
         if self.state.articles:
             self.state.next_article_id = max(self.state.articles) + 1
         self.state.next_file_id = max_file_id + 1
@@ -253,18 +268,20 @@ class Depot(DepotClient):
             return self._copy_record(head)
 
     def upload_bytes(self, article_id: int, name: str, body: bytes) -> FileEntry:
-        """Store file bytes under a name, replacing any same-named entry."""
+        """Record a file under a name, replacing any same-named entry; the body is not kept."""
         with self._lock:
             article = self._get(article_id)
             _validate_file_name(name)
+            if isinstance(body, int):  # bytes() would read it as a length
+                raise TypeError("body must be bytes, not an int")
+            body = bytes(body)
             entry = FileEntry(
                 file_id=self.state.next_file_id,
                 name=name,
                 size=len(body),
-                md5=hashlib.md5(bytes(body)).hexdigest(),
+                md5=hashlib.md5(body).hexdigest(),
             )
             self.state.next_file_id += 1
-            article.blobs[entry.file_id] = bytes(body)
             files = list(article.head.files)
             for index, existing in enumerate(files):
                 if existing.name == name:

@@ -125,7 +125,10 @@ class _Handler(BaseHTTPRequestHandler):
                 raise AuthFailure("missing or wrong token")
             self._route(method, raw)
         except CuratorError as exc:
-            self._send(STATUS_BY_KIND.get(type(exc), 500), {"error": exc.kind})
+            status = STATUS_BY_KIND.get(type(exc), 500)
+            if status == 500:  # the depot's own failure, such as an append that failed
+                logger.error("%s %s failed: %s: %s", method, self.path, exc.kind, exc)
+            self._send(status, {"error": exc.kind})
         except Exception:
             logger.exception("unhandled facade failure on %s %s", method, self.path)
             self._send(500, {"error": "InternalError"})

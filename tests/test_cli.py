@@ -198,6 +198,23 @@ def test_http_backend_requires_config(tmp_path, capsys):
     assert read_error(capsys).startswith("error: IoError:")
 
 
+@pytest.mark.parametrize("base_url", ["ftp://x", "http://x:99999"])
+def test_http_backend_bad_base_url(tmp_path, capsys, base_url):
+    sim = make_sim_dir(tmp_path / "sim")
+    config = write_http_config(tmp_path / "cfg", base_url)
+    assert run(["publish-input", "-p", str(sim / "top_hat.xml"), "-c", str(config)]) == 1
+    assert read_error(capsys).startswith(f"error: ParseError: {config}: ")
+
+
+@pytest.mark.parametrize("state", ["a-directory", "missing/depot.jsonl"])
+def test_unusable_state_path(tmp_path, capsys, state):
+    sim = make_sim_dir(tmp_path / "sim")
+    (tmp_path / "a-directory").mkdir()
+    args = mock_args(sim / "top_hat.xml", "--state", str(tmp_path / state))
+    assert run(["publish-input", *args]) == 1
+    assert read_error(capsys).startswith("error: IoError: cannot ")
+
+
 def test_http_backend_bad_credentials(tmp_path, capsys, http_server):
     sim = make_sim_dir(tmp_path / "sim")
     config = write_http_config(tmp_path / "cfg", http_server.base_url, token="wrong")

@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import random
+import tracemalloc
 
 import pytest
 
@@ -96,6 +97,26 @@ def test_upload_rejects_bad_names(depot, name):
     article = depot.create_article(meta())
     with pytest.raises(InvalidMeta):
         depot.upload_bytes(article.article_id, name, b"data")
+
+
+def test_upload_keeps_no_file_body(depot):
+    article_id = depot.create_article(meta()).article_id
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(8):
+            depot.upload_bytes(article_id, f"{index}.dat", bytes([index]) * (1 << 20))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+
+
+def test_upload_body_of_an_int_is_a_type_error(depot):
+    article_id = depot.create_article(meta()).article_id
+    with pytest.raises(TypeError):
+        depot.upload_bytes(article_id, "a.dat", 5)
+    assert depot.get_article(article_id).files == []
 
 
 def test_upload_to_missing_article(depot):
@@ -237,13 +258,11 @@ def test_snapshots_stay_frozen_as_versions_advance(depot):
     stored = depot.state.articles[article.article_id]
     first = stored.published_versions[0]
     first_files = [(f.file_id, f.name, f.md5) for f in first.files]
-    first_blob_id = first.files[0].file_id
 
     depot.upload_bytes(article.article_id, "a.dat", b"v2 bytes")
     depot.publish_article(article.article_id)
 
     assert [(f.file_id, f.name, f.md5) for f in first.files] == first_files
-    assert stored.blobs[first_blob_id] == b"v1 bytes"
     assert len(stored.published_versions) == 2
     assert stored.published_versions[1].files[0].md5 == hashlib.md5(b"v2 bytes").hexdigest()
 
@@ -399,13 +418,9 @@ def test_load_reports_what_it_replayed(tmp_path, caplog):
 
 
 def stored_state(depot):
-    """Everything a restart must restore: per article, the head, published
-    versions, DOI and pending flag; and both id counters."""
-    articles = {
-        article_id: (article.head, article.published_versions, article.doi, article.dirty)
-        for article_id, article in depot.state.articles.items()
-    }
-    return articles, depot.state.next_article_id, depot.state.next_file_id
+    """Everything a restart must restore: every article's whole stored state,
+    and both id counters."""
+    return depot.state.articles, depot.state.next_article_id, depot.state.next_file_id
 
 
 def test_create_then_publish_writes_two_lines(tmp_path):
@@ -524,6 +539,30 @@ def test_replayed_records_meet_the_live_checks(tmp_path, change):
         Depot(state_path=state)
     assert str(info.value).startswith(f"{state}, line 2: not a depot record (InvalidMeta: ")
     assert state.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "published",
+    [
+        [(1, f"{DOI_PREFIX}.1"), (2, "10.5072/other.9")],
+        [(1, f"{DOI_PREFIX}.1"), (2, f"{DOI_PREFIX}.1"), (1, f"{DOI_PREFIX}.1")],
+        [(2, f"{DOI_PREFIX}.1")],
+    ],
+    ids=["doi-change", "version-back", "version-skip"],
+)
+def test_replayed_line_follows_the_previous_head(tmp_path, published):
+    lines = [REPLAYED] + [
+        {**REPLAYED, "status": "published", "version": version, "doi": doi}
+        for version, doi in published
+    ]
+    state = tmp_path / "depot.jsonl"
+    state.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+    with pytest.raises(ParseError) as info:
+        Depot(state_path=state)
+    assert str(info.value).startswith(
+        f"{state}, line {len(lines)}: not a depot record (InvalidMeta: "
+    )
 
 
 class ModelDepot:

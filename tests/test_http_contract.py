@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import array
 import http.client
 import json
+import logging
 import socket
 import statistics
 import time
@@ -146,6 +148,12 @@ def s_upload_name_not_utf8(p):
     record = p.do("create_article", meta())
     p.do("upload_bytes", record.article_id, "caf\udce9.vtu", b"x")
     p.do("get_article", record.article_id)
+
+
+def s_upload_typed_buffer(p):
+    # two 4-byte items: the wire carries 8 bytes, and so does the size in process
+    record = p.do("create_article", meta())
+    p.do("upload_bytes", record.article_id, "a.dat", memoryview(array.array("i", [1, 2])))
 
 
 def s_search_no_hits(p):
@@ -331,6 +339,7 @@ SCENARIOS = [
     s_upload_names_outside_latin1,
     s_upload_non_text_name,
     s_upload_name_not_utf8,
+    s_upload_typed_buffer,
     s_search_no_hits,
     s_search_finds_draft,
     s_search_multiple_sorted,
@@ -529,6 +538,24 @@ def test_create_returns_201_with_article_id_only(http_server):
     )
     assert response.status_code == 201
     assert response.json() == {"article_id": 1}
+
+
+def test_failed_append_is_500_and_logged(tmp_path, caplog):
+    server = DepotHttpServer("127.0.0.1:0", Depot(tmp_path / "gone" / "depot.jsonl"), TOKEN).start()
+    try:
+        with caplog.at_level(logging.ERROR, logger="curator.depot_http"):
+            response = requests.post(
+                f"{server.base_url}/v1/articles",
+                json={"title": "t", "description": "", "kind": "code", "category": "c", "tags": []},
+                headers=AUTH,
+                timeout=5,
+            )
+    finally:
+        server.stop()
+    assert response.status_code == 500
+    assert response.json() == {"error": "IoError"}
+    (message,) = [r.message for r in caplog.records if r.levelno == logging.ERROR]
+    assert message.startswith("POST /v1/articles failed: IoError: cannot write ")
 
 
 def test_invalid_meta_is_422(http_server):

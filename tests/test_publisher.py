@@ -335,10 +335,10 @@ def test_publish_data_sidecars_match_stored_bytes(tmp_path):
     paths = _data_files(tmp_path, count=4)
     result = Publisher(depot).publish_data(FilesetSpec(title="run data", paths=paths))
     stored = depot.state.articles[result.article_id]
-    by_name = {entry.name: stored.blobs[entry.file_id] for entry in stored.head.files}
+    by_name = {entry.name: entry.md5 for entry in stored.head.files}
     for path in paths:
         recorded = sidecar_path(path).read_text().strip()
-        assert recorded == hashlib.md5(by_name[path.name]).hexdigest()
+        assert recorded == hashlib.md5(path.read_bytes()).hexdigest() == by_name[path.name]
 
 
 def test_publish_data_logs_one_summary(tmp_path, caplog):
