@@ -14,6 +14,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import os
 import re
 import selectors
 import time
@@ -34,6 +35,8 @@ DEFAULT_TIMEOUT = 30.0
 # Transport failures are retried this many times before surfacing.
 RETRY_BACKOFF = (0.5, 1.0, 2.0)
 FILE_NAME_HEADER = "X-File-Name"
+# Bytes per read of a file being uploaded, and per socket write of its body.
+UPLOAD_CHUNK = 1 << 20
 
 
 @dataclass
@@ -214,10 +217,54 @@ ROUTES = {
 }
 
 
-def read_local_file(local_path) -> bytes:
-    """Read a file for upload, mapping OS failures to IoError."""
+class FileBody:
+    """A local file opened as an upload body, streamed instead of held.
+
+    ``len()`` is the file's size when it was opened, and reads return
+    exactly that many bytes in all: a file that grows meanwhile is cut at
+    that size, and one that shrinks raises IoError. :meth:`rewind` starts
+    it over, for a request sent again. Closes on leaving a ``with`` block.
+    """
+
+    def __init__(self, handle, path):
+        self._handle = handle
+        self._path = path
+        self._size = self._left = os.fstat(handle.fileno()).st_size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __enter__(self) -> FileBody:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._handle.close()
+
+    def rewind(self) -> None:
+        self._handle.seek(0)
+        self._left = self._size
+
+    def read(self, size: int = -1) -> bytes:
+        buffer = bytearray(self._left if size < 0 else min(size, self._left))
+        self.readinto(buffer)
+        return bytes(buffer)
+
+    def readinto(self, buffer) -> int:
+        view = memoryview(buffer)[: self._left]
+        try:
+            count = self._handle.readinto(view)
+        except OSError as exc:
+            raise IoError(f"cannot read {self._path}: {exc.strerror or exc}") from exc
+        if count < len(view):
+            raise IoError(f"{self._path} shrank below {self._size} bytes while being uploaded")
+        self._left -= count
+        return count
+
+
+def read_local_file(local_path) -> FileBody:
+    """Open a file for upload, mapping OS failures to IoError."""
     try:
-        return Path(local_path).read_bytes()
+        return FileBody(open(local_path, "rb"), local_path)
     except OSError as exc:
         raise IoError(f"cannot read {local_path}: {exc.strerror or exc}") from exc
 
@@ -226,8 +273,9 @@ class DepotClient(ABC):
     """Operations every depot backend must support.
 
     The abstract methods are the contract, one per entry of :data:`ROUTES`.
-    :meth:`upload_file` is the one convenience on top of it: it reads a
-    local file and hands its bytes to :meth:`upload_bytes`.
+    :meth:`upload_file` is the one convenience on top of it: it opens a
+    local file and hands it to :meth:`upload_bytes` as a :class:`FileBody`,
+    so no backend holds the whole file in memory.
     """
 
     @abstractmethod
@@ -235,12 +283,13 @@ class DepotClient(ABC):
         """Create a draft article and return its initial record."""
 
     @abstractmethod
-    def upload_bytes(self, article_id: int, name: str, body: bytes) -> FileEntry:
+    def upload_bytes(self, article_id: int, name: str, body: bytes | FileBody) -> FileEntry:
         """Store file bytes under a name, replacing any entry with the same name."""
 
     def upload_file(self, article_id: int, local_path) -> FileEntry:
-        """Upload a local file under its base name."""
-        return self.upload_bytes(article_id, Path(local_path).name, read_local_file(local_path))
+        """Upload a local file under its base name, streamed from disk."""
+        with read_local_file(local_path) as body:
+            return self.upload_bytes(article_id, Path(local_path).name, body)
 
     @abstractmethod
     def search_by_tag(self, tag: str) -> list[ArticleRecord]:
@@ -312,7 +361,9 @@ class HttpDepotClient(DepotClient):
         connection_class = (
             http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
         )
-        self._connect = partial(connection_class, url.hostname, url.port, timeout=timeout)
+        self._connect = partial(
+            connection_class, url.hostname, url.port, timeout=timeout, blocksize=UPLOAD_CHUNK
+        )
         self._connection: http.client.HTTPConnection | None = None
         self._headers = {"Authorization": f"token {config.token}"}
 
@@ -338,6 +389,8 @@ class HttpDepotClient(DepotClient):
                 connection.close()  # the request below reconnects, with no retry delay
             sent = False
             try:
+                if isinstance(data, FileBody):
+                    data.rewind()  # a request sent again sends the file from its start
                 connection.request(method, self._root + path, data, headers)
                 sent = True
                 response = connection.getresponse()
@@ -357,6 +410,9 @@ class HttpDepotClient(DepotClient):
             except (http.client.HTTPException, ValueError) as exc:
                 connection.close()
                 raise TransportError(f"{method} {url}: {exc}") from exc
+            except BaseException:  # such as the IoError of a file that shrank mid-upload
+                connection.close()
+                raise
             self._connection = connection
             return self._handle_response(method, path, reply)
         raise AssertionError("unreachable")
@@ -395,6 +451,9 @@ class HttpDepotClient(DepotClient):
         elif "body" in fields:
             data = fields["body"]
             headers = {"Content-Type": "application/octet-stream"}
+            if isinstance(data, FileBody):
+                # http.client would otherwise send a file chunked, which the depot does not read
+                headers["Content-Length"] = str(len(data))
             if is_utf8_text(fields["name"]):
                 # Header values are Latin-1, so the name travels percent-encoded UTF-8.
                 headers[FILE_NAME_HEADER] = quote(fields["name"], safe="")
@@ -410,7 +469,7 @@ class HttpDepotClient(DepotClient):
     def create_article(self, meta: ArticleMeta) -> ArticleRecord:
         return self.get_article(self._call("create_article", meta))
 
-    def upload_bytes(self, article_id: int, name: str, body: bytes) -> FileEntry:
+    def upload_bytes(self, article_id: int, name: str, body: bytes | FileBody) -> FileEntry:
         return self._call("upload_bytes", article_id, name, body)
 
     def search_by_tag(self, tag: str) -> list[ArticleRecord]:

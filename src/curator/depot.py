@@ -24,9 +24,11 @@ from pathlib import Path
 from .client import (
     ARTICLE_KINDS,
     ROUTES,
+    UPLOAD_CHUNK,
     ArticleMeta,
     ArticleRecord,
     DepotClient,
+    FileBody,
     FileEntry,
     args_from_wire,
     is_utf8_text,
@@ -194,9 +196,22 @@ class Depot(DepotClient):
             ))
 
     def _log(self, op: str, head: ArticleRecord, detail: str) -> None:
+        """Apply ``head`` and persist it; an append that fails undoes both."""
+        article_id = head.article_id
+        before = self.state.articles.get(article_id)
+        if before is not None:
+            before = replace(before, published_versions=list(before.published_versions))
         self._apply(head)
-        self.state.op_log.append((op, head.article_id, detail))
-        self._save()
+        self.state.op_log.append((op, article_id, detail))
+        try:
+            self._save()
+        except IoError:
+            self.state.op_log.pop()
+            if before is None:
+                del self.state.articles[article_id]
+            else:
+                self.state.articles[article_id] = before
+            raise
 
     def _save(self) -> None:
         """Append the head of the article the newest op-log entry touched."""
@@ -267,19 +282,29 @@ class Depot(DepotClient):
             self._log("create_article", head, meta.title)
             return self._copy_record(head)
 
-    def upload_bytes(self, article_id: int, name: str, body: bytes) -> FileEntry:
-        """Record a file under a name, replacing any same-named entry; the body is not kept."""
+    def upload_bytes(self, article_id: int, name: str, body: bytes | FileBody) -> FileEntry:
+        """Record a file under a name, replacing any same-named entry; the body
+        is not kept, and a :class:`FileBody` is hashed from its start in chunks."""
         with self._lock:
             article = self._get(article_id)
             _validate_file_name(name)
             if isinstance(body, int):  # bytes() would read it as a length
                 raise TypeError("body must be bytes, not an int")
-            body = bytes(body)
+            if isinstance(body, FileBody):
+                digest, size = hashlib.md5(), 0
+                body.rewind()
+                buffer = memoryview(bytearray(UPLOAD_CHUNK))
+                while count := body.readinto(buffer):
+                    digest.update(buffer[:count])
+                    size += count
+            else:
+                body = bytes(body)
+                digest, size = hashlib.md5(body), len(body)
             entry = FileEntry(
                 file_id=self.state.next_file_id,
                 name=name,
-                size=len(body),
-                md5=hashlib.md5(body).hexdigest(),
+                size=size,
+                md5=digest.hexdigest(),
             )
             self.state.next_file_id += 1
             files = list(article.head.files)

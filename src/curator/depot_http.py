@@ -93,7 +93,11 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0:
             self.close_connection = True
             raise InvalidMeta("Content-Length must be a nonnegative integer")
-        return self.rfile.read(length) if length else b""
+        raw = self.rfile.read(length) if length else b""
+        if len(raw) < length:  # the client stopped sending, so the body is not whole
+            self.close_connection = True
+            raise InvalidMeta(f"body ended after {len(raw)} of {length} bytes")
+        return raw
 
     def _read_json(self, raw: bytes) -> dict:
         if not raw:
@@ -118,6 +122,13 @@ class _Handler(BaseHTTPRequestHandler):
         given = (self.headers.get("Authorization") or "").encode("utf-8")
         return hmac.compare_digest(given, f"token {self.server.token}".encode("utf-8"))
 
+    def handle(self):
+        try:
+            super().handle()
+        except ConnectionError as exc:
+            # The client reset or hung up mid-exchange, so there is no one to answer.
+            logger.info("client %s gone: %s", self.address_string(), exc.__class__.__name__)
+
     def _dispatch(self, method: str) -> None:
         try:
             raw = self._read_body() if method == "POST" else b""
@@ -129,6 +140,8 @@ class _Handler(BaseHTTPRequestHandler):
             if status == 500:  # the depot's own failure, such as an append that failed
                 logger.error("%s %s failed: %s: %s", method, self.path, exc.kind, exc)
             self._send(status, {"error": exc.kind})
+        except ConnectionError:
+            raise  # handle() logs the client gone
         except Exception:
             logger.exception("unhandled facade failure on %s %s", method, self.path)
             self._send(500, {"error": "InternalError"})

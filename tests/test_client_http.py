@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
+import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -156,6 +159,44 @@ def test_transient_failure_then_success(monkeypatch):
         for server in servers:
             server.stop()
     assert delays == [0.5, 1.0]
+
+
+def test_a_retried_upload_sends_the_file_from_its_start(tmp_path, monkeypatch):
+    # the first depot reads part of the body and resets; the retry reaches a facade
+    path = tmp_path / "big.vtu"
+    path.write_bytes(os.urandom(8 << 20))
+    depot = Depot()
+    article_id = depot.create_article(ArticleMeta(title="t", kind="fileset", category="c")).article_id
+    listener = socket.create_server(("127.0.0.1", 0))
+    address = "127.0.0.1:%d" % listener.getsockname()[1]
+
+    def read_some_then_reset():
+        with listener:
+            connection, _ = listener.accept()
+            with connection:
+                connection.recv(1 << 16)
+                connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+    resetter = threading.Thread(target=read_some_then_reset, daemon=True)
+    resetter.start()
+    servers, delays = [], []
+
+    def sleep(delay):
+        delays.append(delay)
+        resetter.join(5)
+        servers.append(DepotHttpServer(address, depot, TOKEN).start())
+
+    monkeypatch.setattr(client_mod.time, "sleep", sleep)
+    client = HttpDepotClient(client_config(f"http://{address}"), timeout=5)
+    try:
+        entry = client.upload_file(article_id, path)
+    finally:
+        client.close()
+        for server in servers:
+            server.stop()
+    assert delays == [0.5]
+    assert (entry.size, entry.md5) == (8 << 20, hashlib.md5(path.read_bytes()).hexdigest())
+    assert depot.get_article(article_id).files == [entry]
 
 
 def test_post_read_timeout_is_not_retried(listener, monkeypatch):

@@ -14,6 +14,7 @@ from curator.depot import DOI_PREFIX, Depot
 from curator.errors import (
     CuratorError,
     InvalidMeta,
+    IoError,
     NotFound,
     NothingToPublish,
     ParseError,
@@ -110,6 +111,22 @@ def test_upload_keeps_no_file_body(depot):
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20
+
+
+def test_upload_file_streams_from_disk(depot, tmp_path):
+    path = tmp_path / "big.vtu"
+    with open(path, "wb") as handle:
+        for index in range(16):
+            handle.write(bytes([index]) * (1 << 20))
+    article_id = depot.create_article(meta()).article_id
+    tracemalloc.start()
+    try:
+        entry = depot.upload_file(article_id, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert (entry.size, entry.md5) == (16 << 20, hashlib.md5(path.read_bytes()).hexdigest())
 
 
 def test_upload_body_of_an_int_is_a_type_error(depot):
@@ -777,3 +794,32 @@ def test_random_op_sequences_match_replay_model(tmp_path):
         for article_id in known:
             assert record_to_wire(depot.get_article(article_id)) == model.get(article_id)[1]
         assert stored_state(Depot(state_path=state)) == stored_state(persisted)
+
+
+MUTATIONS = {
+    "create_article": lambda depot, article_id: depot.create_article(meta(title="late")),
+    "upload_bytes": lambda depot, article_id: depot.upload_bytes(article_id, "b.dat", b"new"),
+    "add_tag": lambda depot, article_id: depot.add_tag(article_id, "late"),
+    "add_authors": lambda depot, article_id: depot.add_authors(article_id, [7]),
+    "publish_article": lambda depot, article_id: depot.publish_article(article_id),
+}
+
+
+@pytest.mark.parametrize("published", [False, True], ids=["draft", "published"])
+@pytest.mark.parametrize("op", sorted(MUTATIONS))
+def test_failed_append_leaves_the_depot_unchanged(tmp_path, op, published):
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
+    article_id = depot.create_article(meta()).article_id
+    depot.upload_bytes(article_id, "a.dat", b"one")
+    if published:  # a published version, and a change pending since
+        depot.publish_article(article_id)
+        depot.upload_bytes(article_id, "a.dat", b"two")
+    before = copy.deepcopy(depot.state.articles), list(depot.state.op_log)
+    record = depot.get_article(article_id)
+    state.unlink()
+    state.mkdir()  # every append fails from here on
+    with pytest.raises(IoError):
+        MUTATIONS[op](depot, article_id)
+    assert depot.get_article(article_id) == record
+    assert (depot.state.articles, depot.state.op_log) == before

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import array
+import hashlib
 import http.client
 import json
 import logging
+import os
+import select
 import socket
 import statistics
+import struct
+import threading
 import time
 
 import pytest
@@ -15,16 +20,18 @@ from conftest import TOKEN, client_config
 
 from curator.client import (
     ROUTES,
+    UPLOAD_CHUNK,
     ArticleMeta,
     ArticleRecord,
     DepotClient,
     FileEntry,
     HttpDepotClient,
     file_entry_to_wire,
+    read_local_file,
     record_to_wire,
 )
 from curator.depot import Depot
-from curator.depot_http import DepotHttpServer
+from curator.depot_http import DepotHttpServer, _Server
 from curator.errors import BindError, CuratorError
 
 
@@ -154,6 +161,28 @@ def s_upload_typed_buffer(p):
     # two 4-byte items: the wire carries 8 bytes, and so does the size in process
     record = p.do("create_article", meta())
     p.do("upload_bytes", record.article_id, "a.dat", memoryview(array.array("i", [1, 2])))
+
+
+def s_upload_file_grown_after_open(p):
+    # the upload carries the bytes the file held when it was opened
+    record = p.do("create_article", meta())
+    path = p.file(b"first")
+    with read_local_file(path) as body:
+        with open(path, "ab") as handle:
+            handle.write(b" and more")
+        entry = p.do("upload_bytes", record.article_id, path.name, body)
+    assert (entry.size, entry.md5) == (5, hashlib.md5(b"first").hexdigest())
+    p.do("get_article", record.article_id)
+
+
+def s_upload_file_shrunk_after_open(p):
+    # a file that ends early is no upload, though a whole chunk of it went out
+    record = p.do("create_article", meta())
+    path = p.file(bytes(3 * UPLOAD_CHUNK))
+    with read_local_file(path) as body:
+        os.truncate(path, UPLOAD_CHUNK)
+        p.do("upload_bytes", record.article_id, path.name, body)
+    p.do("get_article", record.article_id)
 
 
 def s_search_no_hits(p):
@@ -340,6 +369,8 @@ SCENARIOS = [
     s_upload_non_text_name,
     s_upload_name_not_utf8,
     s_upload_typed_buffer,
+    s_upload_file_grown_after_open,
+    s_upload_file_shrunk_after_open,
     s_search_no_hits,
     s_search_finds_draft,
     s_search_multiple_sorted,
@@ -694,6 +725,71 @@ def test_unreadable_content_length_is_422_and_closes(http_server, length):
     assert head.startswith(b"HTTP/1.1 422 ")
     assert b"Connection: close" in head
     assert json.loads(body) == {"error": "InvalidMeta"}
+
+
+def test_short_body_is_422_and_records_nothing(http_server, http_client):
+    article_id = http_client.create_article(meta()).article_id
+    host, port = http_server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(
+            f"POST /v1/articles/{article_id}/files HTTP/1.1\r\nHost: depot\r\n"
+            f"Authorization: token {TOKEN}\r\nX-File-Name: a.dat\r\n"
+            "Content-Length: 10\r\n\r\nabc".encode()
+        )
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 422 ")
+    assert b"Connection: close" in head
+    assert json.loads(body) == {"error": "InvalidMeta"}
+    assert http_client.get_article(article_id).files == []
+
+
+def test_client_gone_before_the_reply_is_one_info_line(http_server, monkeypatch, caplog, capfd):
+    accepted, finished = [], threading.Event()
+    process_request, shutdown_request = _Server.process_request, _Server.shutdown_request
+
+    def accepting(server, request, address):
+        accepted.append(request)
+        process_request(server, request, address)
+
+    def finishing(server, request):
+        shutdown_request(server, request)
+        finished.set()
+
+    monkeypatch.setattr(_Server, "process_request", accepting)
+    monkeypatch.setattr(_Server, "shutdown_request", finishing)
+    handle, handling, gone = http_server.depot.handle, threading.Event(), threading.Event()
+
+    def held(op, params):
+        handling.set()
+        gone.wait(5)
+        return handle(op, params)
+
+    monkeypatch.setattr(http_server.depot, "handle", held)
+    host, port = http_server.address.rsplit(":", 1)
+    body = b'{"title": "t", "kind": "code", "category": "c", "tags": []}'
+    with caplog.at_level(logging.INFO, logger="curator.depot_http"):
+        sock = socket.create_connection((host, int(port)), timeout=5)
+        sock.sendall(
+            b"POST /v1/articles HTTP/1.1\r\nHost: depot\r\n"
+            + f"Authorization: token {TOKEN}\r\nContent-Length: {len(body)}\r\n\r\n".encode()
+            + body
+        )
+        assert handling.wait(5)
+        # a zero linger time makes close() reset the connection
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        # the reply is written only once the facade's end has seen the reset
+        assert select.select(accepted, [], [], 5)[0] == accepted
+        gone.set()
+        assert finished.wait(5)
+    assert capfd.readouterr().err == ""
+    (record,) = caplog.records
+    assert record.levelno == logging.INFO
+    assert record.getMessage().startswith("client 127.0.0.1 gone: ")
 
 
 def test_route_table_covers_the_contract():
