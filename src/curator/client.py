@@ -269,6 +269,21 @@ def read_local_file(local_path) -> FileBody:
         raise IoError(f"cannot read {local_path}: {exc.strerror or exc}") from exc
 
 
+def upload_body(body) -> FileBody | memoryview:
+    """The one rule for an upload body, which both backends apply first: a
+    FileBody, or a bytes-like object, taken as a memoryview so it is never
+    copied. Anything else (an int, a str, a list, an open file) is a TypeError."""
+    if isinstance(body, FileBody):
+        return body
+    try:
+        view = memoryview(body)
+        if view.c_contiguous:
+            return view
+    except TypeError:
+        pass
+    raise TypeError(f"an upload body is a FileBody or bytes-like, not {type(body).__name__}")
+
+
 class DepotClient(ABC):
     """Operations every depot backend must support.
 
@@ -283,8 +298,9 @@ class DepotClient(ABC):
         """Create a draft article and return its initial record."""
 
     @abstractmethod
-    def upload_bytes(self, article_id: int, name: str, body: bytes | FileBody) -> FileEntry:
-        """Store file bytes under a name, replacing any entry with the same name."""
+    def upload_bytes(self, article_id: int, name: str, body) -> FileEntry:
+        """Store a file under a name, replacing any entry with the same name. ``body``
+        is a FileBody or bytes-like; anything else is a TypeError (:func:`upload_body`)."""
 
     def upload_file(self, article_id: int, local_path) -> FileEntry:
         """Upload a local file under its base name, streamed from disk."""
@@ -469,8 +485,8 @@ class HttpDepotClient(DepotClient):
     def create_article(self, meta: ArticleMeta) -> ArticleRecord:
         return self.get_article(self._call("create_article", meta))
 
-    def upload_bytes(self, article_id: int, name: str, body: bytes | FileBody) -> FileEntry:
-        return self._call("upload_bytes", article_id, name, body)
+    def upload_bytes(self, article_id: int, name: str, body) -> FileEntry:
+        return self._call("upload_bytes", article_id, name, upload_body(body))
 
     def search_by_tag(self, tag: str) -> list[ArticleRecord]:
         return self._call("search_by_tag", tag)

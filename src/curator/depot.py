@@ -34,6 +34,7 @@ from .client import (
     is_utf8_text,
     record_from_wire,
     record_to_wire,
+    upload_body,
 )
 from .errors import InvalidMeta, IoError, NotFound, NothingToPublish, ParseError
 
@@ -282,14 +283,13 @@ class Depot(DepotClient):
             self._log("create_article", head, meta.title)
             return self._copy_record(head)
 
-    def upload_bytes(self, article_id: int, name: str, body: bytes | FileBody) -> FileEntry:
+    def upload_bytes(self, article_id: int, name: str, body) -> FileEntry:
         """Record a file under a name, replacing any same-named entry; the body
         is not kept, and a :class:`FileBody` is hashed from its start in chunks."""
+        body = upload_body(body)
         with self._lock:
             article = self._get(article_id)
             _validate_file_name(name)
-            if isinstance(body, int):  # bytes() would read it as a length
-                raise TypeError("body must be bytes, not an int")
             if isinstance(body, FileBody):
                 digest, size = hashlib.md5(), 0
                 body.rewind()
@@ -298,8 +298,7 @@ class Depot(DepotClient):
                     digest.update(buffer[:count])
                     size += count
             else:
-                body = bytes(body)
-                digest, size = hashlib.md5(body), len(body)
+                digest, size = hashlib.md5(body), body.nbytes
             entry = FileEntry(
                 file_id=self.state.next_file_id,
                 name=name,
@@ -307,12 +306,9 @@ class Depot(DepotClient):
                 md5=digest.hexdigest(),
             )
             self.state.next_file_id += 1
-            files = list(article.head.files)
-            for index, existing in enumerate(files):
-                if existing.name == name:
-                    files[index] = entry
-                    break
-            else:
+            # a same-named entry is replaced where it stands; a new name goes last
+            files = [entry if held.name == name else held for held in article.head.files]
+            if entry not in files:
                 files.append(entry)
             self._log("upload_file", replace(article.head, files=files), name)
             return FileEntry(**vars(entry))

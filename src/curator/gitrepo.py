@@ -6,8 +6,9 @@ commit timestamp and the chosen name: entries are sorted, every
 timestamp equals the commit time, and file modes come from the tree.
 Every blob is read through one ``git cat-file --batch`` process that
 takes its ids from an unlinked temporary file, so no helper thread runs.
-The zip is packed here, laid out byte for byte as ``zipfile`` would
-write it, zip64 records included. A commit time outside what a zip can
+The zip is packed here and returned in memory, byte for byte as ``zipfile``
+would write it, zip64 records included; a name that is not UTF-8 keeps its
+bytes, as ``git archive`` keeps them. A commit time outside what a zip can
 store (1980 to 2107) is clamped to the nearest end of that range.
 """
 
@@ -110,7 +111,7 @@ def _commit_timestamp(local_path, commit: str) -> int:
     return int(out.split()[0])
 
 
-def _list_tree(local_path, commit: str) -> list[tuple[str, int, bytes]]:
+def _list_tree(local_path, commit: str) -> list[tuple[bytes, int, bytes]]:
     code, out, err = _run_git(local_path, "ls-tree", "-r", "-z", commit)
     if code != 0:
         raise UnknownRef(f"cannot list tree of {commit!r}: {err.decode(errors='replace').strip()}")
@@ -127,25 +128,24 @@ def _list_tree(local_path, commit: str) -> list[tuple[str, int, bytes]]:
                 mode.decode(),
             )
             continue
-        entries.append((rel.decode("utf-8"), int(mode, 8), sha))
-    entries.sort(key=lambda item: item[0])
+        entries.append((rel, int(mode, 8), sha))
+    entries.sort()
     return entries
 
 
-def export_archive(local_path, commit: str, dest_path, name: str | None = None) -> Path:
-    """Write a zip of the full tree at ``commit`` and return its path.
+def export_archive(local_path, commit: str, name: str | None = None) -> bytearray:
+    """Return a zip of the full tree at ``commit``.
 
     The archive places everything under "<name>-<hash[0:7]>/" with the
     repository directory's basename as the default name. Exporting the
-    same commit twice yields byte-identical files.
+    same commit twice yields byte-identical archives.
     """
     path = Path(local_path)
-    dest = Path(dest_path)
     full = resolve_commit(path, commit)
     if name is None:
         name = path.resolve().name
     dos_time = _dos_time(_commit_timestamp(path, full))
-    prefix = f"{name}-{full[:7]}/"
+    prefix = f"{name}-{full[:7]}/".encode("utf-8", "surrogateescape")
     entries = _list_tree(path, full)
 
     # One --buffer process answers every blob id, and git's lookups overlap
@@ -162,27 +162,19 @@ def export_archive(local_path, commit: str, dest_path, name: str | None = None) 
             )
     except OSError as exc:
         raise IoError(f"cannot run git: {exc.strerror or exc}") from exc
-    parts: list[bytes] = []
+    # Each entry is appended as it is deflated, so the archive is held once.
+    archive = bytearray()
     central: list[bytes] = []
-    offset = 0
     # Leaving the block closes git's stdout first, so a git still writing
     # exits on EPIPE, and then waits for it.
     with reader:
         for rel, mode, sha in entries:
             body = _read_blob(reader.stdout, sha, path)
-            head, data, record = _zip_entry(prefix + rel, mode, body, dos_time, offset)
-            parts += (head, data)
-            central.append(record)
-            offset += len(head) + len(data)
-    parts += central
-    parts.append(_zip_end(len(central), offset, sum(map(len, central))))
-    try:
-        # The parts go out as they are: joining them would copy the archive.
-        with dest.open("wb") as out:
-            out.writelines(parts)
-    except OSError as exc:
-        raise IoError(f"cannot write archive {dest}: {exc.strerror or exc}") from exc
-    return dest
+            central.append(_zip_entry(archive, prefix + rel, mode, body, dos_time))
+    start = len(archive)
+    archive += b"".join(central)
+    archive += _zip_end(len(central), start, len(archive) - start)
+    return archive
 
 
 def _dos_time(seconds: int) -> tuple[int, int]:
@@ -195,13 +187,13 @@ def _dos_time(seconds: int) -> tuple[int, int]:
     return hour << 11 | minute << 5 | second // 2, (year - 1980) << 9 | month << 5 | day
 
 
-def _zip_entry(name: str, mode: int, body: bytes, dos_time, offset: int) -> tuple[bytes, ...]:
-    """Local header, deflated data and central record of one file, as
-    ``zipfile``'s ``writestr`` lays them out at compresslevel 9."""
-    try:
-        raw, flags = name.encode("ascii"), 0
-    except UnicodeEncodeError:
-        raw, flags = name.encode("utf-8"), 0x800
+def _zip_entry(archive: bytearray, raw: bytes, mode: int, body: bytes, dos_time) -> bytes:
+    """Append one file's local header and deflated data to ``archive``, as ``zipfile``'s
+    ``writestr`` lays them out at compresslevel 9, and return its central record."""
+    offset = len(archive)
+    # as git archive does, only a non-ASCII name that is valid UTF-8 is flagged as UTF-8
+    utf8 = not raw.isascii() and raw.decode("utf-8", "ignore").encode("utf-8") == raw
+    flags = 0x800 if utf8 else 0
     # a raw deflate stream; zlib.compress accepts wbits only from Python 3.11
     deflate = zlib.compressobj(9, zlib.DEFLATED, -15)
     data = deflate.compress(body) + deflate.flush()
@@ -227,7 +219,9 @@ def _zip_entry(name: str, mode: int, body: bytes, dos_time, offset: int) -> tupl
         len(raw), len(extra), 0, 0, 0, (mode & 0xFFFF) << 16,
         _MASK32 if offset > ZIP64_LIMIT else offset,
     )
-    return head + raw + local_extra, data, record + raw + extra
+    archive += head + raw + local_extra
+    archive += data
+    return record + raw + extra
 
 
 def _zip_end(count: int, start: int, size: int) -> bytes:

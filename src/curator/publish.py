@@ -3,7 +3,8 @@
 Every article carries its lookup key from creation, so a fresh run and a
 run resuming a failed one take the same path. A software article is
 created tagged with its full commit hash, so a published revision is
-returned as-is and an interrupted draft is found and completed. A fileset
+returned as-is and an interrupted draft is found and completed; its
+archive goes from memory to the depot, never through a file. A fileset
 is keyed by its article id, recorded by the caller before any upload; a
 file is skipped only when the article holds its name and the file still
 matches its local MD5 sidecar.
@@ -22,7 +23,6 @@ import hashlib
 import logging
 import os
 import re
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -290,17 +290,10 @@ class Publisher:
             tags=[identity.commit],
         )
         article_id = found[0] if found else self.client.create_article(meta).article_id
-        with tempfile.TemporaryDirectory(prefix="curator-") as scratch:
-            exporting = time.perf_counter()
-            archive = export_archive(
-                identity.local_repo,
-                identity.commit,
-                Path(scratch) / f"{identity.name}-{identity.commit[:7]}.zip",
-                name=identity.name,
-            )
-            export_s = time.perf_counter() - exporting
-            archive_bytes = archive.stat().st_size
-            self.client.upload_file(article_id, archive)
+        exporting = time.perf_counter()
+        archive = export_archive(identity.local_repo, identity.commit, name=identity.name)
+        export_s = time.perf_counter() - exporting
+        self.client.upload_bytes(article_id, f"{identity.name}-{identity.commit[:7]}.zip", archive)
         authors = parse_authors_file(Path(identity.local_repo) / "AUTHORS")
         if authors:
             self.client.add_authors(
@@ -308,7 +301,7 @@ class Publisher:
             )
         doi, _ = self.client.publish_article(article_id)
         result = SoftwareResult(article_id, doi, reused=False)
-        return _log_software(result, started, archive_bytes, export_s)
+        return _log_software(result, started, len(archive), export_s)
 
     # -- data ---------------------------------------------------------
 

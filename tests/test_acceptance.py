@@ -8,6 +8,7 @@ HTTP facade of it; no network access is needed.
 from __future__ import annotations
 
 import hashlib
+import io
 import random
 import re
 import subprocess
@@ -248,12 +249,12 @@ def test_archive_export_is_reproducible_and_faithful(tmp_path):
     )
     head = git(repo, "rev-parse", "HEAD")
 
-    first = export_archive(repo, head, tmp_path / "one.zip")
-    second = export_archive(repo, head, tmp_path / "two.zip")
-    assert first.read_bytes() == second.read_bytes()
+    first = export_archive(repo, head)
+    second = export_archive(repo, head)
+    assert first == second
 
     unpacked = tmp_path / "unpacked"
-    with zipfile.ZipFile(first) as archive:
+    with zipfile.ZipFile(io.BytesIO(first)) as archive:
         archive.extractall(unpacked)
 
     checkout = tmp_path / "checkout"

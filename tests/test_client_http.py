@@ -19,6 +19,7 @@ from conftest import TOKEN, client_config
 from curator.client import (
     DEFAULT_TIMEOUT,
     RETRY_BACKOFF,
+    UPLOAD_CHUNK,
     ArticleMeta,
     HttpDepotClient,
     read_local_file,
@@ -353,17 +354,22 @@ def test_restarted_depot_is_reached_without_a_retry(tmp_path, monkeypatch):
     assert (len(accepted), delays) == (2, [])
 
 
-def test_a_failed_call_leaves_the_client_usable(http_server, monkeypatch):
+def test_a_failed_call_leaves_the_client_usable(http_server, monkeypatch, tmp_path):
     delays = []
     monkeypatch.setattr(client_mod.time, "sleep", delays.append)
     client = HttpDepotClient(client_config(http_server.base_url), timeout=0.5)
     article_id = client.create_article(
         ArticleMeta(title="t", kind="fileset", category="c")
     ).article_id
-    # http.client fails to encode this body after buffering the request
-    # line and headers, and close() would keep them for the next request
-    with pytest.raises(TransportError):
-        client.upload_bytes(article_id, "a.dat", "数据")
+    # a file that shrinks after opening fails its upload once the request
+    # line, headers and a first chunk went out, so the depot still waits
+    # for the rest of that body on this connection
+    path = tmp_path / "a.dat"
+    path.write_bytes(bytes(3 * UPLOAD_CHUNK))
+    with read_local_file(path) as body:
+        os.truncate(path, UPLOAD_CHUNK)
+        with pytest.raises(IoError):
+            client.upload_bytes(article_id, "a.dat", body)
     assert client.get_article(article_id).article_id == article_id
 
     # the late reply to a timed-out POST must not answer the next call

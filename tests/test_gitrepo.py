@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import commit_all, git, make_repo
+from conftest import commit_all, git, make_repo, make_sim_dir
 
+import curator.cli as cli
 from curator import gitrepo
 from curator.errors import IoError, NoCommits, NotARepository, UnknownRef
 from curator.gitrepo import COMMIT_HASH_RE, export_archive, inspect_repo, resolve_commit
@@ -81,9 +82,9 @@ def test_resolve_unknown_ref(tmp_path):
 def test_export_same_commit_twice_is_byte_identical(tmp_path):
     repo = make_repo(tmp_path / "repo")
     head = git(repo, "rev-parse", "HEAD")
-    first = export_archive(repo, head, tmp_path / "one.zip")
-    second = export_archive(repo, head, tmp_path / "two.zip")
-    assert first.read_bytes() == second.read_bytes()
+    first = export_archive(repo, head)
+    second = export_archive(repo, head)
+    assert first == second
 
 
 def test_archive_lists_exactly_the_tree_under_prefix(tmp_path):
@@ -92,8 +93,8 @@ def test_archive_lists_exactly_the_tree_under_prefix(tmp_path):
         files={"a.txt": "alpha\n", "b/c.txt": "nested\n"},
     )
     head = git(repo, "rev-parse", "HEAD")
-    dest = export_archive(repo, head, tmp_path / "out.zip")
-    with zipfile.ZipFile(dest) as archive:
+    zipped = export_archive(repo, head)
+    with zipfile.ZipFile(io.BytesIO(zipped)) as archive:
         names = archive.namelist()
     prefix = f"wavesolver-{head[:7]}/"
     assert names == [f"{prefix}a.txt", f"{prefix}b/c.txt"]
@@ -105,7 +106,7 @@ def test_archive_entries_sorted_lexicographically(tmp_path):
         files={"z.txt": "z", "a.txt": "a", "m/inner.txt": "m", "b.txt": "b"},
     )
     head = git(repo, "rev-parse", "HEAD")
-    with zipfile.ZipFile(export_archive(repo, head, tmp_path / "out.zip")) as archive:
+    with zipfile.ZipFile(io.BytesIO(export_archive(repo, head))) as archive:
         names = archive.namelist()
     assert names == sorted(names)
 
@@ -113,7 +114,7 @@ def test_archive_entries_sorted_lexicographically(tmp_path):
 def test_archive_timestamps_equal_commit_time(tmp_path):
     repo = make_repo(tmp_path / "repo")
     head = git(repo, "rev-parse", "HEAD")
-    with zipfile.ZipFile(export_archive(repo, head, tmp_path / "out.zip")) as archive:
+    with zipfile.ZipFile(io.BytesIO(export_archive(repo, head))) as archive:
         stamps = {info.date_time for info in archive.infolist()}
     assert stamps == {COMMIT_UTC}
 
@@ -146,9 +147,9 @@ def test_unpacked_archive_equals_clean_checkout(tmp_path):
     (repo / "later.txt").write_text("second commit\n")
     head = commit_all(repo, "add later")
 
-    dest = export_archive(repo, head, tmp_path / "out.zip")
+    zipped = export_archive(repo, head)
     unpacked = tmp_path / "unpacked"
-    with zipfile.ZipFile(dest) as archive:
+    with zipfile.ZipFile(io.BytesIO(zipped)) as archive:
         archive.extractall(unpacked)
     archive_root = unpacked / f"repo-{head[:7]}"
 
@@ -162,7 +163,7 @@ def test_export_accepts_abbreviated_and_older_commits(tmp_path):
     (repo / "more.txt").write_text("second\n")
     commit_all(repo, "second")
 
-    with zipfile.ZipFile(export_archive(repo, first[:10], tmp_path / "old.zip")) as archive:
+    with zipfile.ZipFile(io.BytesIO(export_archive(repo, first[:10]))) as archive:
         names = archive.namelist()
     assert names == [f"repo-{first[:7]}/only.txt"]
 
@@ -170,7 +171,7 @@ def test_export_accepts_abbreviated_and_older_commits(tmp_path):
 def test_export_unknown_commit(tmp_path):
     repo = make_repo(tmp_path / "repo")
     with pytest.raises(UnknownRef):
-        export_archive(repo, "0" * 40, tmp_path / "out.zip")
+        export_archive(repo, "0" * 40)
 
 
 def test_export_skips_symlinks_with_warning(tmp_path, caplog):
@@ -178,8 +179,8 @@ def test_export_skips_symlinks_with_warning(tmp_path, caplog):
     (repo / "alias").symlink_to("real.txt")
     head = commit_all(repo, "add symlink")
     with caplog.at_level(logging.WARNING):
-        dest = export_archive(repo, head, tmp_path / "out.zip")
-    with zipfile.ZipFile(dest) as archive:
+        zipped = export_archive(repo, head)
+    with zipfile.ZipFile(io.BytesIO(zipped)) as archive:
         names = archive.namelist()
     assert names == [f"repo-{head[:7]}/real.txt"]
     assert any("alias" in record.message for record in caplog.records)
@@ -189,7 +190,7 @@ def test_export_preserves_executable_mode(tmp_path):
     repo = make_repo(tmp_path / "repo", files={"run.sh": "#!/bin/sh\n", "plain.txt": "x\n"})
     os.chmod(repo / "run.sh", 0o755)
     head = commit_all(repo, "make executable")
-    with zipfile.ZipFile(export_archive(repo, head, tmp_path / "out.zip")) as archive:
+    with zipfile.ZipFile(io.BytesIO(export_archive(repo, head))) as archive:
         modes = {
             info.filename.split("/", 1)[1]: info.external_attr >> 16
             for info in archive.infolist()
@@ -201,9 +202,33 @@ def test_export_preserves_executable_mode(tmp_path):
 def test_export_honors_name_override(tmp_path):
     repo = make_repo(tmp_path / "repo")
     head = git(repo, "rev-parse", "HEAD")
-    dest = export_archive(repo, head, tmp_path / "out.zip", name="custom")
-    with zipfile.ZipFile(dest) as archive:
+    zipped = export_archive(repo, head, name="custom")
+    with zipfile.ZipFile(io.BytesIO(zipped)) as archive:
         assert archive.namelist()[0].startswith(f"custom-{head[:7]}/")
+
+
+def test_name_that_is_not_utf8_is_stored_raw(tmp_path, monkeypatch):
+    # git archive's rule: the UTF-8 flag marks only a non-ASCII name that is
+    # valid UTF-8, and any other name keeps its bytes without the flag
+    repo = make_repo(tmp_path / "repo", files={"café.txt": "utf-8\n", "plain.txt": "ascii\n"})
+    (repo / os.fsdecode(b"caf\xe9.dat")).write_text("latin-1\n")
+    head = commit_all(repo, "a latin-1 name")
+    with zipfile.ZipFile(io.BytesIO(export_archive(repo, head))) as archive:
+        # zipfile decodes a name without the flag as cp437, which maps every byte
+        stored = {
+            info.filename.encode("utf-8" if info.flag_bits & 0x800 else "cp437"): info.flag_bits
+            for info in archive.infolist()
+        }
+    prefix = f"repo-{head[:7]}/".encode()
+    assert stored == {
+        prefix + b"caf\xe9.dat": 0,
+        prefix + "café.txt".encode(): 0x800,
+        prefix + b"plain.txt": 0,
+    }
+    monkeypatch.setenv("CURATOR_CONFIG", str(tmp_path / "unset-config"))
+    project = make_sim_dir(tmp_path / "sim") / "top_hat.xml"
+    argv = ["publish-software", "-p", str(project), "--backend", "mock", "--repo", str(repo)]
+    assert cli.run(argv) == 0
 
 
 def _fast_import_repo(root: Path, files: dict, existing: dict | None = None) -> str:
@@ -233,9 +258,9 @@ def test_export_of_a_tree_larger_than_a_pipe_is_complete(tmp_path):
     # 3000 ids are about 120 KiB of cat-file input, more than a pipe holds
     files = _bulk_files(3000)
     head = _fast_import_repo(tmp_path / "bulk", files)
-    dest = export_archive(tmp_path / "bulk", head, tmp_path / "out.zip")
+    zipped = export_archive(tmp_path / "bulk", head)
     unpacked = tmp_path / "unpacked"
-    with zipfile.ZipFile(dest) as archive:
+    with zipfile.ZipFile(io.BytesIO(zipped)) as archive:
         archive.extractall(unpacked)
     assert _tree_bytes(unpacked / f"bulk-{head[:7]}") == files
 
@@ -251,9 +276,8 @@ def test_export_with_a_missing_blob_raises_and_leaves_nothing_running(tmp_path):
     (repo / ".git" / "objects" / lost[:2] / lost[2:]).unlink()
     before = threading.active_count()
     with pytest.raises(IoError):
-        export_archive(repo, head, tmp_path / "out.zip")
+        export_archive(repo, head)
     assert threading.active_count() == before
-    assert not (tmp_path / "out.zip").exists()
 
 
 @pytest.mark.parametrize("stage", ["id file", "git"])
@@ -272,8 +296,7 @@ def test_export_that_cannot_start_cat_file_raises_io_error(tmp_path, monkeypatch
     else:
         monkeypatch.setattr(gitrepo.subprocess, "Popen", refuse_cat_file)
     with pytest.raises(IoError, match="Too many open files"):
-        export_archive(repo, "HEAD", tmp_path / "out.zip")
-    assert not (tmp_path / "out.zip").exists()
+        export_archive(repo, "HEAD")
 
 
 def _zipfile_reference(repo: Path, name: str) -> bytes:
@@ -320,8 +343,8 @@ def test_export_equals_zipfile_byte_for_byte(tmp_path):
     )
     os.chmod(repo / "run.sh", 0o755)
     commit_all(repo, "mode")
-    dest = export_archive(repo, "HEAD", tmp_path / "out.zip")
-    assert dest.read_bytes() == _zipfile_reference(repo, "repo")
+    zipped = export_archive(repo, "HEAD")
+    assert zipped == _zipfile_reference(repo, "repo")
 
 
 def _zipfile_masks_local_zip64_sizes() -> bool:
@@ -358,8 +381,8 @@ def test_export_equals_zipfile_in_zip64_cases(tmp_path, monkeypatch, size_limit,
     files = {f"n{size}.bin": _noise(size, size) for size in (2900, 4000, 4900, 6000)}
     files.update({f"small/{index:02d}.txt": f"{index}\n" for index in range(12)})
     repo = make_repo(tmp_path / "repo", files=files)
-    dest = export_archive(repo, "HEAD", tmp_path / "out.zip")
-    assert dest.read_bytes() == _zipfile_reference(repo, "repo")
+    zipped = export_archive(repo, "HEAD")
+    assert zipped == _zipfile_reference(repo, "repo")
 
 
 def test_commit_before_1980_is_clamped_to_the_first_zip_time(tmp_path, caplog):
@@ -367,10 +390,10 @@ def test_commit_before_1980_is_clamped_to_the_first_zip_time(tmp_path, caplog):
     (repo / "old.txt").write_text("from 1975\n")
     commit_all(repo, "old", date="1975-01-01T00:00:00 +0000")
     with caplog.at_level(logging.WARNING):
-        first = export_archive(repo, "HEAD", tmp_path / "one.zip")
+        first = export_archive(repo, "HEAD")
     assert sum("1975" in record.getMessage() for record in caplog.records) == 1
-    second = export_archive(repo, "HEAD", tmp_path / "two.zip")
-    with zipfile.ZipFile(first) as archive:
+    second = export_archive(repo, "HEAD")
+    with zipfile.ZipFile(io.BytesIO(first)) as archive:
         stamps = {info.date_time for info in archive.infolist()}
     assert stamps == {(1980, 1, 1, 0, 0, 0)}
-    assert first.read_bytes() == second.read_bytes()
+    assert first == second

@@ -10,13 +10,14 @@ import select
 import socket
 import statistics
 import struct
+import tempfile
 import threading
 import time
 
 import pytest
 import requests
 
-from conftest import TOKEN, client_config
+from conftest import TOKEN, client_config, git, make_repo
 
 from curator.client import (
     ROUTES,
@@ -33,6 +34,8 @@ from curator.client import (
 from curator.depot import Depot
 from curator.depot_http import DepotHttpServer, _Server
 from curator.errors import BindError, CuratorError
+from curator.gitrepo import export_archive
+from curator.publish import Publisher, SoftwareIdentity
 
 
 def meta(title="wave", kind="fileset", tags=None):
@@ -183,6 +186,43 @@ def s_upload_file_shrunk_after_open(p):
         os.truncate(path, UPLOAD_CHUNK)
         p.do("upload_bytes", record.article_id, path.name, body)
     p.do("get_article", record.article_id)
+
+
+def s_upload_body_not_bytes(p):
+    # a body is a FileBody or bytes-like; anything else is a TypeError before
+    # a byte is sent or recorded, ahead of the check that the article exists
+    record = p.do("create_article", meta())
+    with open(p.file(b"abc"), "rb") as handle:
+        for body in (5, "abc", [1, 2, 3], handle, memoryview(b"abcd")[::2]):
+            for article_id in (record.article_id, 999999):
+                with pytest.raises(TypeError):
+                    p.client.upload_bytes(article_id, "a.dat", body)
+    assert p.do("get_article", record.article_id).files == []
+
+
+def s_publish_software_writes_no_archive_file(p):
+    # the archive goes from memory to the depot: the temporary directory is
+    # empty at each depot call of the stage and after it
+    repo = make_repo(p.workdir / "solver")
+    scratch = p.workdir / "tmp"
+    scratch.mkdir()
+    seen = []
+
+    class Watched:
+        def __getattr__(self, op):
+            seen.extend(scratch.iterdir())
+            return getattr(p.client, op)
+
+    saved, tempfile.tempdir = tempfile.tempdir, str(scratch)
+    try:
+        identity = SoftwareIdentity("solver", git(repo, "rev-parse", "HEAD"), repo)
+        result = Publisher(Watched()).publish_software(identity)
+    finally:
+        tempfile.tempdir = saved
+    assert seen == [] and list(scratch.iterdir()) == []
+    archive = export_archive(repo, "HEAD", name="solver")
+    (entry,) = p.do("get_article", result.article_id).files
+    assert (entry.size, entry.md5) == (len(archive), hashlib.md5(archive).hexdigest())
 
 
 def s_search_no_hits(p):
@@ -371,6 +411,8 @@ SCENARIOS = [
     s_upload_typed_buffer,
     s_upload_file_grown_after_open,
     s_upload_file_shrunk_after_open,
+    s_upload_body_not_bytes,
+    s_publish_software_writes_no_archive_file,
     s_search_no_hits,
     s_search_finds_draft,
     s_search_multiple_sorted,

@@ -174,9 +174,9 @@ def test_publish_software_end_to_end(tmp_path):
     assert record.authors == [9001, 9002]
 
     # the uploaded archive is exactly the deterministic export
-    reference = export_archive(repo, head, tmp_path / "ref.zip", name="wavesolver")
+    reference = export_archive(repo, head, name="wavesolver")
     assert [f.name for f in record.files] == [f"wavesolver-{head[:7]}.zip"]
-    assert record.files[0].md5 == hashlib.md5(reference.read_bytes()).hexdigest()
+    assert record.files[0].md5 == hashlib.md5(reference).hexdigest()
 
 
 def test_publish_software_is_idempotent(tmp_path):

@@ -9,6 +9,7 @@ new ones, and uploads only what was never confirmed.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import pytest
 
@@ -70,11 +71,11 @@ def test_software_upload_failure_then_rerun_leaves_one_published_article(
     argv = ["publish-software", "-p", str(project), "--backend", "mock", "--state", str(state)]
     argv += ["--repo", str(repo)]
 
-    def lost_upload(self, article_id, local_path):
+    def lost_upload(self, article_id, name, body):
         raise TransportError("connection reset during upload")
 
     with monkeypatch.context() as patch:
-        patch.setattr(Depot, "upload_file", lost_upload)
+        patch.setattr(Depot, "upload_bytes", lost_upload)
         assert run_cli(capsys, argv) == 1
     assert run_cli(capsys, argv) == 0
 
@@ -131,7 +132,7 @@ def test_fileset_upload_failure_then_rerun_resumes_the_draft(
 # The depot calls of a fault-free publish-all in a fresh project, in order.
 PUBLISH_ALL_CALLS = (
     # software
-    "search_by_tag", "create_article", "upload_file", "add_authors", "publish_article",
+    "search_by_tag", "create_article", "upload_bytes", "add_authors", "publish_article",
     # input: the new article's id is recorded before the get_article that resumes it
     "create_article", "get_article", "upload_file", "upload_file", "publish_article",
     # output: the software record for provenance, then as input
@@ -167,8 +168,8 @@ class FaultyClient:
             if index == self.fail_at and not self.applied:
                 raise TransportError(f"{op} failed before reaching the depot")
             result = method(*args)
-            if op == "upload_file":
-                self.uploaded.append(args[1].name)
+            if op in ("upload_file", "upload_bytes"):
+                self.uploaded.append(Path(args[1]).name)
             if index == self.fail_at:
                 raise TransportError(f"the reply to {op} was lost")
             return result
