@@ -83,9 +83,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> bytes:
-        # Always drain the body, even on auth failure, or the next
-        # request on a keep-alive connection starts mid-stream. A body of
-        # unknown length cannot be drained, so the connection is dropped.
+        # A body of unknown length cannot be drained, so the connection is
+        # dropped: the next request would start mid-stream.
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
@@ -131,10 +130,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str) -> None:
         try:
-            raw = self._read_body() if method == "POST" else b""
             if not self._authorized():
+                # Answered before the body is read, so a client without the
+                # token cannot make the depot wait for or hold its body; the
+                # body is not drained either, so the connection ends.
+                if method == "POST":
+                    self.close_connection = True
                 raise AuthFailure("missing or wrong token")
-            self._route(method, raw)
+            self._route(method, self._read_body() if method == "POST" else b"")
         except CuratorError as exc:
             status = STATUS_BY_KIND.get(type(exc), 500)
             if status == 500:  # the depot's own failure, such as an append that failed

@@ -10,11 +10,23 @@ The zip is packed here and returned in memory, byte for byte as ``zipfile``
 would write it, zip64 records included; a name that is not UTF-8 keeps its
 bytes, as ``git archive`` keeps them. A commit time outside what a zip can
 store (1980 to 2107) is clamped to the nearest end of that range.
+
+Deflating is most of an export's cost, and a new revision changes few
+blobs, so each export keeps the deflated bytes of every blob it packed in
+one file, ``curator-deflate-cache`` in the repository's common git
+directory (shared by its linked worktrees). A later export, in any
+process, deflates only the blobs no earlier export has seen. The file
+holds copies of tracked blobs and is trusted like the object store, but
+every blob is still read from git and an entry is used only when the
+blob's CRC-32 and size and a CRC-32 of the cached bytes all match. A
+damaged, foreign or unwritable cache costs speed and never changes the
+archive, and deleting the file is always safe.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import re
 import struct
 import subprocess
@@ -46,6 +58,24 @@ _END = struct.Struct("<4s4H2LH")
 _END64 = struct.Struct("<4sQ2H2L4Q")
 _LOCATOR64 = struct.Struct("<4sLQL")
 
+_LEVEL = 9
+_CACHE_NAME = "curator-deflate-cache"
+# The cache holds only what this format, level and zlib produce; any other
+# header means the file counts as empty and is replaced.
+_CACHE_HEADER = f"curator deflate cache 1 level {_LEVEL} zlib {zlib.ZLIB_RUNTIME_VERSION}\n".encode()
+# blob id (hex, zero-padded), blob CRC-32 and size, CRC-32 of the deflated bytes, their size
+_CACHE_RECORD = struct.Struct("<64sLQLQ")
+# what an export keeps of each entry: its record, where the archive holds its
+# deflated bytes, and whether they were deflated afresh
+_KEPT = struct.Struct(_CACHE_RECORD.format + "Q?")
+
+
+class Archive(bytearray):
+    """A zip in memory, with how many entries came from the deflate cache."""
+
+    cached = 0
+    deflated = 0
+
 
 @dataclass
 class RepoInfo:
@@ -68,17 +98,24 @@ def _run_git(local_path, *args) -> tuple[int, bytes, bytes]:
 
 def resolve_commit(local_path, ref: str) -> str:
     """Resolve a full hash, abbreviated hash or symbolic name to 40 hex."""
+    return _rev_parse(local_path, ref)[0]
+
+
+def _rev_parse(local_path, ref: str) -> tuple[str, Path]:
+    """The commit ``ref`` names, and the repository's common git directory."""
     if not isinstance(ref, str) or not ref or ref.startswith("-"):
         raise UnknownRef(f"invalid ref {ref!r}")
     code, out, _ = _run_git(
-        local_path, "rev-parse", "--verify", "--quiet", f"{ref}^{{commit}}"
+        local_path, "rev-parse", "--git-common-dir", "--verify", "--quiet", f"{ref}^{{commit}}"
     )
     if code != 0:
         raise UnknownRef(f"cannot resolve {ref!r} in {local_path}")
-    value = out.decode("ascii").strip()
+    # git prints the directory relative to local_path, or absolute
+    git_dir, _, value = out.rstrip(b"\n").rpartition(b"\n")
+    value = value.decode("ascii")
     if not COMMIT_HASH_RE.match(value):
         raise UnknownRef(f"{ref!r} resolved to unexpected object id {value!r}")
-    return value
+    return value, Path(local_path) / os.fsdecode(git_dir)
 
 
 def inspect_repo(local_path) -> RepoInfo:
@@ -133,15 +170,17 @@ def _list_tree(local_path, commit: str) -> list[tuple[bytes, int, bytes]]:
     return entries
 
 
-def export_archive(local_path, commit: str, name: str | None = None) -> bytearray:
+def export_archive(local_path, commit: str, name: str | None = None) -> Archive:
     """Return a zip of the full tree at ``commit``.
 
     The archive places everything under "<name>-<hash[0:7]>/" with the
     repository directory's basename as the default name. Exporting the
-    same commit twice yields byte-identical archives.
+    same commit twice yields byte-identical archives, whatever the state
+    of the deflate cache; the archive counts the entries it took from
+    that cache and those it deflated.
     """
     path = Path(local_path)
-    full = resolve_commit(path, commit)
+    full, git_dir = _rev_parse(path, commit)
     if name is None:
         name = path.resolve().name
     dos_time = _dos_time(_commit_timestamp(path, full))
@@ -163,17 +202,27 @@ def export_archive(local_path, commit: str, name: str | None = None) -> bytearra
     except OSError as exc:
         raise IoError(f"cannot run git: {exc.strerror or exc}") from exc
     # Each entry is appended as it is deflated, so the archive is held once.
-    archive = bytearray()
+    archive = Archive()
     central: list[bytes] = []
     # Leaving the block closes git's stdout first, so a git still writing
     # exits on EPIPE, and then waits for it.
-    with reader:
+    with reader, _DeflateCache(git_dir / _CACHE_NAME) as cache:
         for rel, mode, sha in entries:
             body = _read_blob(reader.stdout, sha, path)
-            central.append(_zip_entry(archive, prefix + rel, mode, body, dos_time))
+            crc = zlib.crc32(body)
+            data = cache.take(sha, crc, len(body))
+            new = data is None
+            if new:
+                # a raw deflate stream; zlib.compress accepts wbits only from Python 3.11
+                deflate = zlib.compressobj(_LEVEL, zlib.DEFLATED, -15)
+                data = deflate.compress(body) + deflate.flush()
+            central.append(_zip_entry(archive, prefix + rel, mode, crc, len(body), data, dos_time))
+            cache.keep(sha, crc, len(body), data, len(archive) - len(data), new)
     start = len(archive)
     archive += b"".join(central)
     archive += _zip_end(len(central), start, len(archive) - start)
+    cache.save(archive)
+    archive.cached, archive.deflated = cache.cached, cache.new
     return archive
 
 
@@ -187,17 +236,17 @@ def _dos_time(seconds: int) -> tuple[int, int]:
     return hour << 11 | minute << 5 | second // 2, (year - 1980) << 9 | month << 5 | day
 
 
-def _zip_entry(archive: bytearray, raw: bytes, mode: int, body: bytes, dos_time) -> bytes:
-    """Append one file's local header and deflated data to ``archive``, as ``zipfile``'s
-    ``writestr`` lays them out at compresslevel 9, and return its central record."""
+def _zip_entry(
+    archive: bytearray, raw: bytes, mode: int, crc: int, size: int, data: bytes, dos_time
+) -> bytes:
+    """Append one file's local header and deflated ``data`` (of ``size`` bytes with
+    CRC-32 ``crc``) to ``archive``, as ``zipfile``'s ``writestr`` lays them out at
+    compresslevel 9, and return its central record."""
     offset = len(archive)
     # as git archive does, only a non-ASCII name that is valid UTF-8 is flagged as UTF-8
     utf8 = not raw.isascii() and raw.decode("utf-8", "ignore").encode("utf-8") == raw
     flags = 0x800 if utf8 else 0
-    # a raw deflate stream; zlib.compress accepts wbits only from Python 3.11
-    deflate = zlib.compressobj(9, zlib.DEFLATED, -15)
-    data = deflate.compress(body) + deflate.flush()
-    crc, size, csize = zlib.crc32(body), len(body), len(data)
+    csize = len(data)
     # zipfile decides on the local zip64 field before deflating, from a bound
     # on the deflated size, and masks both sizes beside it (since Python
     # 3.11.4; before, it left them unmasked); the central record looks at
@@ -243,3 +292,97 @@ def _read_blob(stream, sha: bytes, path: Path) -> bytes:
     if len(body) != size or stream.read(1) != b"\n":
         raise IoError(f"truncated object {sha.decode()} in {path}")
     return body
+
+
+
+
+class _DeflateCache:
+    """The deflated blobs of earlier exports: ``_CACHE_HEADER``, then per blob a
+    ``_CACHE_RECORD`` and its deflated bytes. An export appends the records it
+    deflated in one write, so appends never split a record; a file that was
+    missing, foreign or torn, or holds over twice the records the export used,
+    is written anew with only those. An ``OSError`` here is logged and ignored.
+    Both the index and the entries kept are small per blob, so the export
+    holds little beside the archive."""
+
+    def __init__(self, path: Path):
+        self.path, self.file, self.index, self.kept = path, None, {}, bytearray()
+        self.records = self.cached = self.new = 0
+        self.whole = False  # a matching header and only whole records
+
+    def __enter__(self) -> _DeflateCache:
+        try:
+            self.file = open(self.path, "rb")
+            end, offset = os.fstat(self.file.fileno()).st_size, len(_CACHE_HEADER)
+            if self.file.read(offset) != _CACHE_HEADER:
+                return self
+            while offset + _CACHE_RECORD.size <= end:
+                sha, *_, csize = _CACHE_RECORD.unpack(self.file.read(_CACHE_RECORD.size))
+                if offset + _CACHE_RECORD.size + csize > end:
+                    break
+                self.index[sha.rstrip(b"\0")] = offset
+                offset = self.file.seek(offset + _CACHE_RECORD.size + csize)
+                self.records += 1
+            self.whole = offset == end
+        except FileNotFoundError:
+            pass
+        except (OSError, struct.error) as exc:
+            logger.debug("deflate cache %s not read: %s", self.path, exc)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.file is not None:
+            self.file.close()
+
+    def take(self, sha: bytes, crc: int, size: int) -> bytes | None:
+        """The cached deflated bytes of blob ``sha``, if its CRC and size and theirs match."""
+        offset = self.index.get(sha)
+        if offset is None:
+            return None
+        try:
+            self.file.seek(offset)
+            _, *entry, data_crc, csize = _CACHE_RECORD.unpack(self.file.read(_CACHE_RECORD.size))
+            if entry != [crc, size]:
+                return None
+            data = self.file.read(csize)
+        except (OSError, struct.error) as exc:
+            logger.debug("deflate cache %s not read: %s", self.path, exc)
+            return None
+        if len(data) != csize or zlib.crc32(data) != data_crc:
+            return None
+        self.cached += 1
+        return data
+
+    def keep(self, sha: bytes, crc: int, size: int, data: bytes, start: int, new: bool) -> None:
+        """Note that the archive holds blob ``sha``'s deflated ``data`` at ``start``."""
+        self.kept += _KEPT.pack(sha, crc, size, zlib.crc32(data), len(data), start, new)
+        self.new += new
+
+    def save(self, archive: bytearray) -> None:
+        """Write back the entries the export used, their bytes taken from ``archive``."""
+        used = len(self.kept) // _KEPT.size
+        append = self.whole and self.records + self.new <= 2 * used
+        try:
+            with memoryview(archive) as view:
+                if append and self.new:
+                    with open(self.path, "ab", buffering=0) as out:  # one write(2)
+                        out.write(b"".join(_cache_parts(view, self.kept, new_only=True)))
+                elif not append:
+                    fd, temp = tempfile.mkstemp(prefix=f"{_CACHE_NAME}.", dir=self.path.parent)
+                    try:
+                        with open(fd, "wb") as out:
+                            out.write(_CACHE_HEADER)
+                            out.writelines(_cache_parts(view, self.kept, new_only=False))
+                        os.replace(temp, self.path)
+                    except BaseException:
+                        os.unlink(temp)
+                        raise
+        except OSError as exc:
+            logger.debug("deflate cache %s not written: %s", self.path, exc)
+
+
+def _cache_parts(view: memoryview, kept: bytearray, new_only: bool):
+    for *record, start, new in _KEPT.iter_unpack(kept):
+        if new or not new_only:
+            yield _CACHE_RECORD.pack(*record)
+            yield view[start : start + record[-1]]

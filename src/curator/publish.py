@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .client import ArticleMeta, ArticleRecord, DepotClient
 from .errors import InvalidMeta, IoError, KindMismatch, NothingToPublish
-from .gitrepo import COMMIT_HASH_RE, export_archive
+from .gitrepo import COMMIT_HASH_RE, Archive, export_archive
 
 logger = logging.getLogger(__name__)
 
@@ -220,14 +220,16 @@ def parse_authors_file(path) -> list[AuthorEntry]:
 
 
 def _log_software(
-    result: SoftwareResult, started: float, archive_bytes: int = 0, export_s: float = 0.0
+    result: SoftwareResult, started: float, archive: Archive | None = None, export_s: float = 0.0
 ) -> SoftwareResult:
     logger.info(
-        "software %s: %s, archive %.1f MiB exported in %.0f ms, %.0f ms in all",
+        "software %s: %s, archive %.1f MiB exported in %.0f ms%s, %.0f ms in all",
         result.article_id,
         "reused" if result.reused else "published",
-        archive_bytes / (1 << 20),
+        len(archive or b"") / (1 << 20),
         export_s * 1000,
+        "" if archive is None
+        else f" ({archive.cached} entries from the export cache, {archive.deflated} deflated)",
         (time.perf_counter() - started) * 1000,
     )
     return result
@@ -301,7 +303,7 @@ class Publisher:
             )
         doi, _ = self.client.publish_article(article_id)
         result = SoftwareResult(article_id, doi, reused=False)
-        return _log_software(result, started, len(archive), export_s)
+        return _log_software(result, started, archive, export_s)
 
     # -- data ---------------------------------------------------------
 

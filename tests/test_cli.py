@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import socket
@@ -11,6 +12,7 @@ import pytest
 from conftest import (
     TOKEN,
     client_config,
+    commit_all,
     git,
     make_repo,
     make_sim_dir,
@@ -22,6 +24,7 @@ import curator.cli as cli
 from curator.cli import run, resolve_software_version
 from curator.depot import Depot
 from curator.errors import ParseError, TransportError, UnknownRef
+from curator.gitrepo import export_archive
 from curator.provenance import read_publish_options
 
 
@@ -463,6 +466,35 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(cli, name, counting)
     return calls
+
+
+def test_export_cache_carries_deflated_blobs_to_the_next_process(tmp_path):
+    # Each CLI stage is a process of its own, so deflated blobs reach the
+    # next revision's export only through the cache in the git directory.
+    sim = make_sim_dir(tmp_path / "sim")
+    files = {f"src/m{index:02d}.c": f"int m{index};\n" * 40 for index in range(20)}
+    repo = make_repo(tmp_path / "solver", files=files)
+    state = tmp_path / "depot.jsonl"
+    argv = [sys.executable, "-m", "curator", "publish-software", "-p", str(sim / "top_hat.xml")]
+    argv += ["--backend", "mock", "--state", str(state), "--repo", str(repo)]
+    env = dict(os.environ, CURATOR_CONFIG=str(tmp_path / "unset"))
+
+    first = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert first.returncode == 0, first.stderr
+    assert "(0 entries from the export cache, 20 deflated)" in first.stderr
+    (repo / "src/m07.c").write_text("int changed;\n")
+    head = commit_all(repo, "one blob changed")
+    second = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert second.returncode == 0, second.stderr
+    assert "(19 entries from the export cache, 1 deflated)" in second.stderr
+
+    (repo / ".git" / "curator-deflate-cache").unlink()
+    cold = export_archive(repo, head)
+    assert cold.cached == 0
+    records = Depot(state_path=state).search_by_tag(head)
+    (entry,) = records[0].files
+    assert entry.name == f"solver-{head[:7]}.zip"
+    assert entry.md5 == hashlib.md5(cold).hexdigest()
 
 
 def test_software_rerun_inspects_repo_once(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import logging
 import os
 import random
 import subprocess
+import sys
 import threading
 import time
 import zipfile
@@ -397,3 +398,140 @@ def test_commit_before_1980_is_clamped_to_the_first_zip_time(tmp_path, caplog):
         stamps = {info.date_time for info in archive.infolist()}
     assert stamps == {(1980, 1, 1, 0, 0, 0)}
     assert first == second
+
+
+# -- the deflate cache in the git directory ------------------------------
+
+CACHE = "curator-deflate-cache"
+
+
+def _revision_repo(tmp_path: Path) -> Path:
+    """A repository of 40 blobs whose second commit changes 3 of them."""
+    files = {
+        f"src/m{index:02d}.c": f"int m{index}(void) {{ return {index}; }}\n" * 40
+        for index in range(40)
+    }
+    repo = make_repo(tmp_path / "repo", files=files)
+    for index in (3, 17, 31):
+        (repo / f"src/m{index:02d}.c").write_text(f"changed {index}\n" * 30)
+    commit_all(repo, "three blobs")
+    return repo
+
+
+def test_warm_export_deflates_only_the_changed_blobs(tmp_path):
+    repo = _revision_repo(tmp_path)
+    export_archive(repo, "HEAD~1")
+    warm = export_archive(repo, "HEAD")
+    (repo / ".git" / CACHE).unlink()
+    cold = export_archive(repo, "HEAD")
+    assert (warm.cached, warm.deflated) == (37, 3)
+    assert (cold.cached, cold.deflated) == (0, 40)
+    assert warm == cold == _zipfile_reference(repo, "repo")
+    assert export_archive(repo, "HEAD").cached == 40
+
+
+def _flip_last_byte(cache: Path) -> None:
+    data = bytearray(cache.read_bytes())
+    data[-1] ^= 0xFF
+    cache.write_bytes(data)
+
+
+def _truncate_last_record(cache: Path) -> None:
+    cache.write_bytes(cache.read_bytes()[:-5])
+
+
+def _header_of_another_zlib(cache: Path) -> None:
+    header, newline, records = cache.read_bytes().partition(b"\n")
+    cache.write_bytes(header.rsplit(b" ", 1)[0] + b" 0.0.0" + newline + records)
+
+
+@pytest.mark.parametrize(
+    "damage, cached",
+    [(_flip_last_byte, 39), (_truncate_last_record, 39), (_header_of_another_zlib, 0)],
+)
+def test_damaged_cache_gives_the_same_archive_and_is_mended(tmp_path, damage, cached):
+    repo = _revision_repo(tmp_path)
+    cold = export_archive(repo, "HEAD")
+    damage(repo / ".git" / CACHE)
+    again = export_archive(repo, "HEAD")
+    assert again == cold
+    assert again.cached == cached
+    assert export_archive(repo, "HEAD").cached == 40
+
+
+def test_directory_in_place_of_the_cache_is_only_slower(tmp_path, caplog):
+    repo = _revision_repo(tmp_path)
+    (repo / ".git" / CACHE).mkdir()
+    with caplog.at_level(logging.DEBUG, logger="curator.gitrepo"):
+        first = export_archive(repo, "HEAD")
+        second = export_archive(repo, "HEAD")
+    assert first == second == _zipfile_reference(repo, "repo")
+    assert second.cached == 0
+    assert any("not written" in record.getMessage() for record in caplog.records)
+    assert list((repo / ".git").glob(f"{CACHE}*")) == [repo / ".git" / CACHE]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes to any directory")
+def test_git_directory_that_cannot_be_written_is_only_slower(tmp_path):
+    repo = _revision_repo(tmp_path)
+    git_dir = repo / ".git"
+    git_dir.chmod(0o555)
+    try:
+        first = export_archive(repo, "HEAD")
+        second = export_archive(repo, "HEAD")
+    finally:
+        git_dir.chmod(0o755)
+    assert first == second == _zipfile_reference(repo, "repo")
+    assert second.cached == 0
+    assert not (git_dir / CACHE).exists()
+
+
+def test_linked_worktree_finds_and_fills_the_shared_cache(tmp_path):
+    repo = _revision_repo(tmp_path)
+    git(repo, "worktree", "add", "-q", str(tmp_path / "linked"))
+    export_archive(repo, "HEAD~1")
+    (repo / "src/m05.c").write_text("changed in the main worktree\n")
+    commit_all(repo, "one more blob")
+    linked = export_archive(tmp_path / "linked", "main~1", name="repo")
+    assert (linked.cached, linked.deflated) == (37, 3)
+    main = export_archive(repo, "main")
+    assert (main.cached, main.deflated) == (39, 1)
+    assert [path.name for path in (repo / ".git").rglob(f"{CACHE}*")] == [CACHE]
+    (repo / ".git" / CACHE).unlink()
+    assert linked == export_archive(repo, "main~1")
+
+
+def test_concurrent_exports_share_the_cache_safely(tmp_path):
+    # Exports of two revisions race on one cache file, appending and
+    # rewriting it; every archive must still equal its cold export.
+    repo = _revision_repo(tmp_path)
+    cold = {}
+    for rev in ("HEAD~1", "HEAD"):
+        cold[rev] = export_archive(repo, rev)
+        (repo / ".git" / CACHE).unlink()
+    results, failures = [], []
+
+    def export(rev):
+        try:
+            for _ in range(3):
+                results.append((rev, export_archive(repo, rev)))
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    workers = [threading.Thread(target=export, args=(rev,)) for rev in ("HEAD~1", "HEAD") * 3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert failures == []
+    assert len(results) == 18
+    assert all(archive == cold[rev] for rev, archive in results)
+    # the file the race left is whole: one more export completes it
+    assert export_archive(repo, "HEAD") == cold["HEAD"]
+    assert export_archive(repo, "HEAD").cached == 40

@@ -563,6 +563,25 @@ def test_non_ascii_authorization_is_401(http_server):
     assert json.loads(body) == {"error": "AuthFailure"}
 
 
+def test_wrong_token_is_401_before_the_body_is_read(http_server):
+    # The body announced is never sent: a depot that read it before checking
+    # the token would wait for it, and hold up to that many bytes.
+    host, port = http_server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=2) as sock:
+        sock.sendall(
+            b"POST /v1/articles/1/files HTTP/1.1\r\nHost: depot\r\n"
+            b"Authorization: token nope\r\nX-File-Name: a.dat\r\n"
+            b"Content-Length: 1073741824\r\n\r\n"
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 401 ")
+    assert b"Connection: close" in head
+    assert json.loads(body) == {"error": "AuthFailure"}
+
+
 def test_netrc_entry_does_not_replace_the_token(http_client, tmp_path, monkeypatch):
     netrc = tmp_path / "netrc"
     netrc.write_text("machine 127.0.0.1 login someone password other\n")

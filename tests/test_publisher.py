@@ -569,8 +569,8 @@ def test_publish_software_logs_one_summary(tmp_path, caplog):
     summaries = [r.getMessage() for r in caplog.records if r.getMessage().startswith("software ")]
     assert len(summaries) == 2
     assert re.fullmatch(
-        rf"software {first.article_id}: published, archive 0\.0 MiB exported in \d+ ms,"
-        r" \d+ ms in all",
+        rf"software {first.article_id}: published, archive 0\.0 MiB exported in \d+ ms"
+        r" \(0 entries from the export cache, 2 deflated\), \d+ ms in all",
         summaries[0],
     )
     assert re.fullmatch(
