@@ -356,8 +356,10 @@ class HttpDepotClient(DepotClient):
     reset, unreachable, closed without a reply) and timeouts are retried
     with the RETRY_BACKOFF schedule before raising TransportError, except a
     POST whose reply timed out: the depot may already have applied it, so
-    it is not sent again. Any other failure is TransportError at once, and
-    an error reply maps to the error kind named in its body. All calls
+    it is not sent again. A request that breaks off because the depot
+    answered it early and closed (a 401 before the body is read) gets that
+    answer. Any other failure is TransportError at once, and an error
+    reply maps to the error kind named in its body. All calls
     carry a bounded timeout, so no operation blocks indefinitely.
     """
 
@@ -407,9 +409,18 @@ class HttpDepotClient(DepotClient):
             try:
                 if isinstance(data, FileBody):
                     data.rewind()  # a request sent again sends the file from its start
-                connection.request(method, self._root + path, data, headers)
-                sent = True
-                response = connection.getresponse()
+                try:
+                    connection.request(method, self._root + path, data, headers)
+                    sent = True
+                except (BrokenPipeError, ConnectionResetError) as exc:
+                    # The depot may have answered (a 401, say) and closed without
+                    # reading the rest of the body: a reply there is the answer.
+                    try:
+                        response = connection.getresponse()
+                    except (OSError, http.client.HTTPException):
+                        raise exc from None
+                else:
+                    response = connection.getresponse()
                 reply = _Reply(response.status, response.read())
             except OSError as exc:
                 connection.close()

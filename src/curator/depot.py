@@ -4,11 +4,14 @@ A small state machine that implements the full :class:`DepotClient`
 contract so the publication workflow can run with no network at all.
 Every mutation hands the touched article's new record to one state rule,
 :meth:`Depot._apply`, and is appended to an op log for test observability
-and, when a state file is given, as one wire-form line to an append-only
-JSONL log. Replay applies each line with the same rule, so a restarted
-process gets the same state; an upload keeps its file's record, never its
-bytes. The HTTP facade reaches it through :meth:`Depot.handle`, which
-decodes, calls and encodes with the operation table in :mod:`curator.client`.
+and, when a state file is given, as one line to an append-only JSONL log.
+An upload's line is the one file entry it added, so a line's size does not
+grow with the fileset; every other mutation's line is the article's whole
+wire-form record. Replay applies each line with the same rule, so a
+restarted process gets the same state; an upload keeps its file's record,
+never its bytes. The HTTP facade reaches it through :meth:`Depot.handle`,
+which decodes, calls and encodes with the operation table in
+:mod:`curator.client`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .client import (
     FileBody,
     FileEntry,
     args_from_wire,
+    file_entry_from_wire,
+    file_entry_to_wire,
     is_utf8_text,
     record_from_wire,
     record_to_wire,
@@ -141,13 +146,21 @@ def _validate_replayed(payload: dict, record: ArticleRecord, article: StoredArti
             raise InvalidMeta(f"doi went {previous.doi} -> {record.doi}")
 
 
+def _with_file(head: ArticleRecord, entry: FileEntry) -> ArticleRecord:
+    """``head`` with ``entry`` where its same-named file stands, or last for a new name."""
+    files = [entry if held.name == entry.name else held for held in head.files]
+    if entry not in files:
+        files.append(entry)
+    return replace(head, files=files)
+
+
 class Depot(DepotClient):
     """Reference depot holding all state in memory.
 
     All operations are serialized behind one lock, so concurrent callers
     observe a single linear history (the op log). Pass ``state_path`` to
-    persist the depot across restarts as an append-only log, one record
-    line per mutation, replayed through the rule the live operations use
+    persist the depot across restarts as an append-only log, one line per
+    mutation, replayed through the rule the live operations use
     (:meth:`_apply`): everything but the op log survives a restart.
     """
 
@@ -215,11 +228,18 @@ class Depot(DepotClient):
             raise
 
     def _save(self) -> None:
-        """Append the head of the article the newest op-log entry touched."""
+        """Append the newest op-log entry's change: the file entry an upload
+        added, or the head of the article any other operation touched."""
         if self._state_path is None:
             return
-        head = self.state.articles[self.state.op_log[-1][1]].head
-        line = json.dumps(record_to_wire(head), sort_keys=True) + "\n"
+        op, article_id, detail = self.state.op_log[-1]
+        head = self.state.articles[article_id].head
+        if op == "upload_file":
+            entry = next(entry for entry in head.files if entry.name == detail)
+            change = {"article_id": article_id, "file": file_entry_to_wire(entry)}
+        else:
+            change = record_to_wire(head)
+        line = json.dumps(change, sort_keys=True) + "\n"
         try:
             with open(self._state_path, "ab") as handle:
                 handle.write(line.encode("utf-8"))
@@ -228,7 +248,9 @@ class Depot(DepotClient):
 
     def _load(self) -> None:
         """Replay the log, passing each line to :meth:`_apply` in order, as
-        the live operations did when they wrote it."""
+        the live operations did when they wrote it. A line holding ``status``
+        is a head, as every line was before uploads logged one file entry;
+        any other is an upload's, held to the checks ``upload_bytes`` makes."""
         try:
             data = self._state_path.read_bytes()
         except OSError as exc:
@@ -240,10 +262,18 @@ class Depot(DepotClient):
                 continue
             try:
                 payload = json.loads(line.decode("utf-8"))
-                record = record_from_wire(payload)
-                _validate_replayed(payload, record, self.state.articles.get(record.article_id))
-                max_file_id = max([max_file_id, *(entry.file_id for entry in record.files)])
-            except (ValueError, KeyError, TypeError, AttributeError, InvalidMeta) as exc:
+                if "status" in payload:
+                    record = record_from_wire(payload)
+                    _validate_replayed(payload, record, self.state.articles.get(record.article_id))
+                    max_file_id = max([max_file_id, *(entry.file_id for entry in record.files)])
+                else:
+                    head = self._get(payload["article_id"]).head
+                    entry = file_entry_from_wire(payload["file"])
+                    _validate_file_name(entry.name)
+                    if type(entry.file_id) is not int or entry.file_id <= max_file_id:
+                        raise InvalidMeta(f"file id {entry.file_id!r} is not above {max_file_id}")
+                    record, max_file_id = _with_file(head, entry), entry.file_id
+            except (ValueError, KeyError, TypeError, AttributeError, InvalidMeta, NotFound) as exc:
                 raise ParseError(
                     f"{self._state_path}, line {number}: not a depot record"
                     f" ({exc.__class__.__name__}: {exc})"
@@ -306,11 +336,7 @@ class Depot(DepotClient):
                 md5=digest.hexdigest(),
             )
             self.state.next_file_id += 1
-            # a same-named entry is replaced where it stands; a new name goes last
-            files = [entry if held.name == name else held for held in article.head.files]
-            if entry not in files:
-                files.append(entry)
-            self._log("upload_file", replace(article.head, files=files), name)
+            self._log("upload_file", _with_file(article.head, entry), name)
             return FileEntry(**vars(entry))
 
     def search_by_tag(self, tag: str) -> list[ArticleRecord]:

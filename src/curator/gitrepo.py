@@ -210,14 +210,17 @@ def export_archive(local_path, commit: str, name: str | None = None) -> Archive:
         for rel, mode, sha in entries:
             body = _read_blob(reader.stdout, sha, path)
             crc = zlib.crc32(body)
-            data = cache.take(sha, crc, len(body))
-            new = data is None
+            hit = cache.take(sha, crc, len(body))
+            new = hit is None
             if new:
                 # a raw deflate stream; zlib.compress accepts wbits only from Python 3.11
                 deflate = zlib.compressobj(_LEVEL, zlib.DEFLATED, -15)
                 data = deflate.compress(body) + deflate.flush()
+                data_crc = zlib.crc32(data)
+            else:
+                data, data_crc = hit
             central.append(_zip_entry(archive, prefix + rel, mode, crc, len(body), data, dos_time))
-            cache.keep(sha, crc, len(body), data, len(archive) - len(data), new)
+            cache.keep(sha, crc, len(body), data_crc, len(data), len(archive) - len(data), new)
     start = len(archive)
     archive += b"".join(central)
     archive += _zip_end(len(central), start, len(archive) - start)
@@ -334,8 +337,9 @@ class _DeflateCache:
         if self.file is not None:
             self.file.close()
 
-    def take(self, sha: bytes, crc: int, size: int) -> bytes | None:
-        """The cached deflated bytes of blob ``sha``, if its CRC and size and theirs match."""
+    def take(self, sha: bytes, crc: int, size: int) -> tuple[bytes, int] | None:
+        """The cached deflated bytes of blob ``sha`` and their CRC-32, if its CRC
+        and size and theirs match."""
         offset = self.index.get(sha)
         if offset is None:
             return None
@@ -351,11 +355,14 @@ class _DeflateCache:
         if len(data) != csize or zlib.crc32(data) != data_crc:
             return None
         self.cached += 1
-        return data
+        return data, data_crc
 
-    def keep(self, sha: bytes, crc: int, size: int, data: bytes, start: int, new: bool) -> None:
-        """Note that the archive holds blob ``sha``'s deflated ``data`` at ``start``."""
-        self.kept += _KEPT.pack(sha, crc, size, zlib.crc32(data), len(data), start, new)
+    def keep(
+        self, sha: bytes, crc: int, size: int, data_crc: int, csize: int, start: int, new: bool
+    ) -> None:
+        """Note that the archive holds blob ``sha``'s ``csize`` deflated bytes,
+        of CRC-32 ``data_crc``, at ``start``."""
+        self.kept += _KEPT.pack(sha, crc, size, data_crc, csize, start, new)
         self.new += new
 
     def save(self, archive: bytearray) -> None:

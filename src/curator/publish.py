@@ -101,8 +101,19 @@ def sidecar_path(path) -> Path:
 
 
 def write_sidecar(path, digest: str) -> None:
+    """Write ``digest`` and a newline as ``path``'s sidecar, overwriting it in
+    place and then cutting it to size: on ext4, a file truncated to zero and
+    written again starts its writeback at ``close`` (``auto_da_alloc``). The
+    write still moves the sidecar's times, so it is unstamped until
+    :func:`_stamp` vouches for it."""
+    line = (digest + "\n").encode("ascii")
     try:
-        sidecar_path(path).write_text(digest + "\n", encoding="ascii")
+        fd = os.open(sidecar_path(path), os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            os.write(fd, line)
+            os.ftruncate(fd, len(line))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise IoError(f"cannot write sidecar for {path}: {exc.strerror or exc}") from exc
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import logging
 import os
 import socket
 import struct
@@ -198,6 +199,21 @@ def test_a_retried_upload_sends_the_file_from_its_start(tmp_path, monkeypatch):
     assert delays == [0.5]
     assert (entry.size, entry.md5) == (8 << 20, hashlib.md5(path.read_bytes()).hexdigest())
     assert depot.get_article(article_id).files == [entry]
+
+
+def test_wrong_token_upload_larger_than_the_socket_buffers_is_auth_failure(
+    http_server, monkeypatch, caplog
+):
+    # the depot answers 401 before reading the body and closes, so sending the
+    # rest of it breaks the pipe; the reply already there is the answer
+    delays = []
+    monkeypatch.setattr(client_mod.time, "sleep", delays.append)
+    client = HttpDepotClient(client_config(http_server.base_url, token="wrong"), timeout=5)
+    with client, caplog.at_level(logging.WARNING, logger="curator.client"):
+        with pytest.raises(AuthFailure):
+            client.upload_bytes(1, "big.vtu", bytes(32 << 20))
+    assert delays == []
+    assert not [r for r in caplog.records if "retrying" in r.message]
 
 
 def test_post_read_timeout_is_not_retried(listener, monkeypatch):

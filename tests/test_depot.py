@@ -582,6 +582,108 @@ def test_replayed_line_follows_the_previous_head(tmp_path, published):
     )
 
 
+def test_an_upload_logs_one_file_entry_whatever_the_fileset_size(tmp_path):
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
+    article_id = depot.create_article(meta()).article_id
+    names = [f"part_{index}.vtu" for index in range(40)]
+    for name in names:
+        depot.upload_bytes(article_id, name, name.encode())
+    lines = state.read_bytes().splitlines()[1:]
+    assert len(lines) == 40
+    assert len(lines[-1]) <= len(lines[0]) + len(names[-1])
+    last = depot.get_article(article_id).files[-1]
+    assert json.loads(lines[-1]) == {"article_id": article_id, "file": vars(last)}
+
+
+def test_a_log_mixing_head_and_entry_upload_lines_replays_alike(tmp_path):
+    # what earlier versions logged: the whole head after every upload
+    model = Depot()
+    article_id = model.create_article(meta(tags=["x"])).article_id
+    heads = [model.get_article(article_id)]
+    for name, body in (("a.dat", b"1"), ("b.dat", b"2"), ("a.dat", b"3")):
+        model.upload_bytes(article_id, name, body)
+        heads.append(model.get_article(article_id))
+    model.publish_article(article_id)
+    heads.append(model.get_article(article_id))
+    state = tmp_path / "depot.jsonl"
+    state.write_text("".join(json.dumps(record_to_wire(h), sort_keys=True) + "\n" for h in heads))
+
+    depot = Depot(state_path=state)
+    second = depot.create_article(meta(title="second")).article_id
+    assert model.create_article(meta(title="second")).article_id == second
+    for target, name, body in (
+        (article_id, "b.dat", b"4"), (article_id, "c.dat", b"5"), (second, "z.dat", b"6"),
+    ):
+        assert depot.upload_bytes(target, name, body) == model.upload_bytes(target, name, body)
+    depot.publish_article(article_id)
+    model.publish_article(article_id)
+    depot.upload_bytes(article_id, "a.dat", b"7")
+    model.upload_bytes(article_id, "a.dat", b"7")
+
+    forms = ["status" in json.loads(line) for line in state.read_text().splitlines()]
+    assert forms == [True] * 5 + [True, False, False, False, True, False]
+    reloaded = Depot(state_path=state)
+    for target in (article_id, second):
+        assert reloaded.get_article(target) == model.get_article(target)
+    assert stored_state(reloaded) == stored_state(depot) == stored_state(model)
+
+
+ENTRY = {"file_id": 5, "name": "a.dat", "size": 1, "md5": "0" * 32}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"article_id": 2, "file": ENTRY},
+        {"article_id": "1", "file": ENTRY},
+        {"article_id": 1, "file": {**ENTRY, "name": "a/b"}},
+        {"article_id": 1, "file": {**ENTRY, "name": ""}},
+        {"article_id": 1, "file": {**ENTRY, "file_id": 5}},
+        {"article_id": 1, "file": {**ENTRY, "file_id": 4}},
+        {"article_id": 1, "file": {**ENTRY, "file_id": "6"}},
+        {"article_id": 1, "file": {**ENTRY, "file_id": True}},
+        {"article_id": 1, "file": {**ENTRY, "file_id": 6.0}},
+        {"article_id": 1},
+        {"file": ENTRY},
+        {"article_id": 1, "file": {key: ENTRY[key] for key in ("file_id", "name", "size")}},
+        {"article_id": 1, "file": [ENTRY]},
+    ],
+    ids=["unknown-article", "text-article-id", "path-name", "empty-name", "reused-file-id",
+         "lower-file-id", "text-file-id", "bool-file-id", "float-file-id", "no-file",
+         "no-article-id", "no-md5", "file-list"],
+)
+def test_replayed_upload_lines_meet_the_live_checks(tmp_path, change):
+    state = tmp_path / "depot.jsonl"
+    lines = [REPLAYED, {"article_id": 1, "file": ENTRY}, change]
+    state.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    before = state.read_bytes()
+
+    with pytest.raises(ParseError) as info:
+        Depot(state_path=state)
+    assert str(info.value).startswith(f"{state}, line 3: not a depot record (")
+    assert state.read_bytes() == before
+
+
+def test_torn_upload_line_is_dropped_and_truncated(tmp_path, caplog):
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
+    article_id = depot.create_article(meta()).article_id
+    depot.upload_bytes(article_id, "a.dat", b"one")
+    intact = state.read_bytes()
+    depot.upload_bytes(article_id, "b.dat", b"two")
+    state.write_bytes(intact + state.read_bytes()[len(intact):][:-10])
+
+    with caplog.at_level(logging.WARNING, logger="curator.depot"):
+        reloaded = Depot(state_path=state)
+    assert any("torn" in r.message and r.levelno == logging.WARNING for r in caplog.records)
+    assert state.read_bytes() == intact
+    assert [entry.name for entry in reloaded.get_article(article_id).files] == ["a.dat"]
+    # the dropped upload never happened, and the next one starts a clean line
+    assert reloaded.upload_bytes(article_id, "b.dat", b"two").file_id == 2
+    assert Depot(state_path=state).get_article(article_id) == reloaded.get_article(article_id)
+
+
 class ModelDepot:
     """Brute-force replay oracle: plain dicts, no shared production code."""
 

@@ -69,6 +69,21 @@ def test_write_sidecar_cuts_a_longer_sidecar_to_the_digest(tmp_path):
         write_sidecar(path, digest)
 
 
+def test_write_sidecar_overwrites_in_place(tmp_path):
+    # the same inode, cut to exactly the digest line whatever it held before
+    path = tmp_path / "data.vtu"
+    path.write_bytes(b"payload")
+    write_sidecar(path, "0" * 32)
+    inode = sidecar_path(path).stat().st_ino
+    with open(sidecar_path(path), "a") as handle:
+        handle.write("  data.vtu\n# checked by hand\n")
+    digest = file_md5(path)
+    write_sidecar(path, digest)
+    info = sidecar_path(path).stat()
+    assert (info.st_ino, info.st_size) == (inode, 33)
+    assert sidecar_path(path).read_bytes() == f"{digest}\n".encode()
+
+
 def test_needs_upload_transitions(tmp_path):
     path = tmp_path / "data.vtu"
     path.write_bytes(b"original")
@@ -436,6 +451,23 @@ def test_publish_data_hashes_what_stat_cannot_vouch_for(tmp_path, monkeypatch, e
     assert hashed == [paths[1]]
     assert again.uploaded == [paths[1]]
     assert sidecar_path(paths[1]).read_text() == file_md5(paths[1]) + "\n"
+
+
+def test_a_sidecar_overwritten_by_an_upload_is_stamped_and_trusted(tmp_path, monkeypatch):
+    paths, rerun = _publish_settled(tmp_path)
+    inode = sidecar_path(paths[1]).stat().st_ino
+    paths[1].write_text("other field values\n")
+    wait_for_clock(paths[1])
+    assert rerun().uploaded == [paths[1]]
+    assert sidecar_path(paths[1]).stat().st_ino == inode
+    hashed = _count_hashes(monkeypatch)
+    assert not any(needs_upload(path) for path in paths)
+    assert hashed == []
+    # a rewrite with no stamp moves the sidecar's times, so stat cannot vouch for it
+    write_sidecar(paths[0], file_md5(paths[0]))
+    hashed.clear()
+    assert needs_upload(paths[0]) is False
+    assert hashed == [paths[0]]
 
 
 def test_publish_data_touched_file_is_hashed_once_then_trusted(tmp_path, monkeypatch):
