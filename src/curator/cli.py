@@ -23,7 +23,9 @@ from .client import HttpDepotClient
 from .config import DEFAULT_CATEGORY, load_config, resolve_config_path
 from .depot import Depot
 from .depot_http import DepotHttpServer
-from .errors import CuratorError, IoError, MissingProvenance, ParseError, SchemaError, UnknownRef
+from .errors import (
+    CuratorError, IoError, MissingProvenance, ParseError, SchemaError, UnknownRef, as_io_error,
+)
 from .gitrepo import COMMIT_HASH_RE, inspect_repo, resolve_commit
 from .provenance import (
     ProvenanceConstants,
@@ -54,10 +56,8 @@ def resolve_software_version(project_dir, repo, version_header=None) -> str:
         header = Path(version_header)
         if not header.is_absolute():
             header = Path(project_dir) / header
-        try:
+        with as_io_error("cannot read", header):
             text = header.read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
-            raise IoError(f"cannot read {header}: {exc.strerror or exc}") from exc
         match = HEX40_RE.search(text)
         if match is None:
             raise ParseError(f"{header}: no 40-hex revision token found")

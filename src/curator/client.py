@@ -11,6 +11,7 @@ client builds its requests from it and the facade in
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
 import logging
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Callable
 from urllib.parse import quote, urlencode, urlparse
 
-from .errors import IoError, NotFound, TransportError, wire_error
+from .errors import IoError, NotFound, TransportError, as_io_error, wire_error
 
 logger = logging.getLogger(__name__)
 
@@ -251,22 +252,39 @@ class FileBody:
 
     def readinto(self, buffer) -> int:
         view = memoryview(buffer)[: self._left]
-        try:
+        with as_io_error("cannot read", self._path):
             count = self._handle.readinto(view)
-        except OSError as exc:
-            raise IoError(f"cannot read {self._path}: {exc.strerror or exc}") from exc
         if count < len(view):
             raise IoError(f"{self._path} shrank below {self._size} bytes while being uploaded")
         self._left -= count
         return count
 
 
+def md5_of(stream, size: int) -> tuple[str, int]:
+    """The MD5 and length of what ``stream.readinto`` gives until it gives
+    nothing, read in ``UPLOAD_CHUNK`` pieces into one buffer no larger than
+    ``size``, the length the stream is expected to have."""
+    digest, total = hashlib.md5(), 0
+    buffer = memoryview(bytearray(min(size, UPLOAD_CHUNK)))
+    while count := stream.readinto(buffer):
+        digest.update(buffer[:count])
+        total += count
+    return digest.hexdigest(), total
+
+
 def read_local_file(local_path) -> FileBody:
     """Open a file for upload, mapping OS failures to IoError."""
-    try:
+    with as_io_error("cannot read", local_path):
         return FileBody(open(local_path, "rb"), local_path)
-    except OSError as exc:
-        raise IoError(f"cannot read {local_path}: {exc.strerror or exc}") from exc
+
+
+def no_such_article(article_id) -> NotFound:
+    """The NotFound for ``article_id``, which names it unless it is an int with
+    more digits than ``str`` converts (from Python 3.11): no depot holds one."""
+    try:
+        return NotFound(f"no such article: {article_id}")
+    except ValueError:
+        return NotFound(f"no such article: an int of {article_id.bit_length()} bits")
 
 
 def upload_body(body) -> FileBody | memoryview:
@@ -464,10 +482,14 @@ class HttpDepotClient(DepotClient):
         route = ROUTES[op]
         fields = args_to_wire(route.params, args)
         ids = {name: fields.pop(name) for name in route.pattern.groupindex}
-        # Exactly int, as in process: True, 1.0 and "1" name no article.
-        if any(type(value) is not int for value in ids.values()):
-            raise NotFound(f"no such article: {ids}")
-        path = route.path.format(**ids)
+        for value in ids.values():
+            # Exactly int, as in process: True, 1.0 and "1" name no article.
+            if type(value) is not int:
+                raise no_such_article(value)
+        try:
+            path = route.path.format(**ids)
+        except ValueError:  # an int with more digits than str converts
+            raise no_such_article(*ids.values()) from None
         # A value the wire cannot carry arrives as missing (a query value or
         # file name that is not UTF-8 text) or null (in JSON), for the depot
         # to reject as it would the value.

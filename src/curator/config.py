@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .client import ClientConfig
-from .errors import IoError, ParseError
+from .errors import IoError, ParseError, as_io_error
 
 CONFIG_ENV_VAR = "CURATOR_CONFIG"
 DEFAULT_CONFIG_NAME = ".curator"
@@ -56,9 +56,8 @@ def load_config(path) -> PublisherConfig:
         raise IoError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        with as_io_error("cannot read", path):
+            parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:

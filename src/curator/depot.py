@@ -27,7 +27,6 @@ from pathlib import Path
 from .client import (
     ARTICLE_KINDS,
     ROUTES,
-    UPLOAD_CHUNK,
     ArticleMeta,
     ArticleRecord,
     DepotClient,
@@ -37,11 +36,13 @@ from .client import (
     file_entry_from_wire,
     file_entry_to_wire,
     is_utf8_text,
+    md5_of,
+    no_such_article,
     record_from_wire,
     record_to_wire,
     upload_body,
 )
-from .errors import InvalidMeta, IoError, NotFound, NothingToPublish, ParseError
+from .errors import InvalidMeta, IoError, NotFound, NothingToPublish, ParseError, as_io_error
 
 logger = logging.getLogger(__name__)
 
@@ -177,7 +178,7 @@ class Depot(DepotClient):
         # Exactly int, as over HTTP: True and 1.0 would otherwise find article 1.
         article = self.state.articles.get(article_id) if type(article_id) is int else None
         if article is None:
-            raise NotFound(f"no such article: {article_id}")
+            raise no_such_article(article_id)
         return article
 
     @staticmethod
@@ -201,13 +202,7 @@ class Depot(DepotClient):
         article.doi = record.doi
         article.dirty = not frozen
         if frozen:
-            # FileEntry objects are never mutated in place, so copying the
-            # lists is enough to keep the published record frozen.
-            meta = replace(record.meta, tags=list(record.meta.tags))
-            article.published_versions.append(ArticleRecord(
-                record.article_id, meta, record.status, record.version,
-                record.doi, list(record.files), list(record.authors),
-            ))
+            article.published_versions.append(self._copy_record(record))
 
     def _log(self, op: str, head: ArticleRecord, detail: str) -> None:
         """Apply ``head`` and persist it; an append that fails undoes both."""
@@ -240,21 +235,16 @@ class Depot(DepotClient):
         else:
             change = record_to_wire(head)
         line = json.dumps(change, sort_keys=True) + "\n"
-        try:
-            with open(self._state_path, "ab") as handle:
-                handle.write(line.encode("utf-8"))
-        except OSError as exc:
-            raise IoError(f"cannot write {self._state_path}: {exc.strerror or exc}") from exc
+        with as_io_error("cannot write", self._state_path), open(self._state_path, "ab") as handle:
+            handle.write(line.encode("utf-8"))
 
     def _load(self) -> None:
         """Replay the log, passing each line to :meth:`_apply` in order, as
         the live operations did when they wrote it. A line holding ``status``
         is a head, as every line was before uploads logged one file entry;
         any other is an upload's, held to the checks ``upload_bytes`` makes."""
-        try:
+        with as_io_error("cannot read", self._state_path):
             data = self._state_path.read_bytes()
-        except OSError as exc:
-            raise IoError(f"cannot read {self._state_path}: {exc.strerror or exc}") from exc
         end = data.rfind(b"\n") + 1
         replayed = max_file_id = 0
         for number, line in enumerate(data[:end].split(b"\n"), 1):
@@ -285,10 +275,8 @@ class Depot(DepotClient):
             logger.warning(
                 "dropping %d byte(s) of a torn final line in %s", torn, self._state_path
             )
-            try:
+            with as_io_error("cannot truncate", self._state_path):
                 os.truncate(self._state_path, end)
-            except OSError as exc:
-                raise IoError(f"cannot truncate {self._state_path}: {exc.strerror or exc}") from exc
         if self.state.articles:
             self.state.next_article_id = max(self.state.articles) + 1
         self.state.next_file_id = max_file_id + 1
@@ -321,20 +309,11 @@ class Depot(DepotClient):
             article = self._get(article_id)
             _validate_file_name(name)
             if isinstance(body, FileBody):
-                digest, size = hashlib.md5(), 0
                 body.rewind()
-                buffer = memoryview(bytearray(UPLOAD_CHUNK))
-                while count := body.readinto(buffer):
-                    digest.update(buffer[:count])
-                    size += count
+                md5, size = md5_of(body, len(body))
             else:
-                digest, size = hashlib.md5(body), body.nbytes
-            entry = FileEntry(
-                file_id=self.state.next_file_id,
-                name=name,
-                size=size,
-                md5=digest.hexdigest(),
-            )
+                md5, size = hashlib.md5(body).hexdigest(), body.nbytes
+            entry = FileEntry(file_id=self.state.next_file_id, name=name, size=size, md5=md5)
             self.state.next_file_id += 1
             self._log("upload_file", _with_file(article.head, entry), name)
             return FileEntry(**vars(entry))

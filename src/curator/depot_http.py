@@ -161,7 +161,10 @@ class _Handler(BaseHTTPRequestHandler):
                 params = {"name": self._file_name(), "body": raw}
             else:
                 params = self._read_json(raw)
-            params.update((k, int(v)) for k, v in match.groupdict().items())
+            try:
+                params.update((k, int(v)) for k, v in match.groupdict().items())
+            except ValueError:  # more digits than int parses (from Python 3.11)
+                raise NotFound("no such article: an id longer than int parses") from None
             self._send(route.status, self.server.depot.handle(op, params))
             return
         raise NotFound(f"no route for {method} {split.path}")

@@ -75,6 +75,27 @@ class IoError(CuratorError):
     """A local file could not be read or written."""
 
 
+class as_io_error:
+    """``with as_io_error("cannot read", path):`` turns an OSError raised in the
+    block into ``IoError("cannot read <path>: <strerror>")``, the one rule for
+    an OS failure. A plain class, so entering costs little, and the message is
+    built only when it raises; a handler for a narrower OSError goes inside."""
+
+    __slots__ = ("action", "subject")
+
+    def __init__(self, action: str, subject=None):
+        self.action = action
+        self.subject = subject
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, OSError):
+            where = self.action if self.subject is None else f"{self.action} {self.subject}"
+            raise IoError(f"{where}: {exc.strerror or exc}") from exc
+
+
 # The error kinds that cross the wire, each with the status the facade
 # answers it with. For a body without a known kind the client falls back
 # to the first kind listed for the status, so Conflict leads the 409s.

@@ -36,7 +36,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import IoError, NoCommits, NotARepository, UnknownRef
+from .errors import IoError, NoCommits, NotARepository, UnknownRef, as_io_error
 
 logger = logging.getLogger(__name__)
 
@@ -86,13 +86,8 @@ class RepoInfo:
 
 
 def _run_git(local_path, *args) -> tuple[int, bytes, bytes]:
-    try:
-        proc = subprocess.run(
-            ["git", "-C", str(local_path), *args],
-            capture_output=True,
-        )
-    except OSError as exc:
-        raise IoError(f"cannot run git: {exc.strerror or exc}") from exc
+    with as_io_error("cannot run git"):
+        proc = subprocess.run(["git", "-C", str(local_path), *args], capture_output=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -121,13 +116,12 @@ def _rev_parse(local_path, ref: str) -> tuple[str, Path]:
 def inspect_repo(local_path) -> RepoInfo:
     """Read head commit and the configured remote URL, if any."""
     path = Path(local_path)
-    code, _, _ = _run_git(path, "rev-parse", "--git-dir")
-    if code != 0:
+    code, out, _ = _run_git(path, "rev-parse", "--verify", "--quiet", "HEAD^{commit}")
+    if code == 128:  # git's status outside a repository, or for a missing directory
         raise NotARepository(f"{path} is not a git repository")
-    try:
-        head = resolve_commit(path, "HEAD")
-    except UnknownRef as exc:
-        raise NoCommits(f"{path} has no commits") from exc
+    head = out.decode("ascii", "replace").strip()
+    if code != 0 or not COMMIT_HASH_RE.match(head):
+        raise NoCommits(f"{path} has no commits")
 
     remote_url = None
     code, out, _ = _run_git(path, "config", "--get-regexp", r"^remote\..*\.url$")
@@ -190,17 +184,14 @@ def export_archive(local_path, commit: str, name: str | None = None) -> Archive:
     # One --buffer process answers every blob id, and git's lookups overlap
     # compression. git reads the ids from a file, not a pipe, so nothing has
     # to keep writing them while its replies are read.
-    try:
-        with tempfile.TemporaryFile() as ids:
-            ids.write(b"".join(sha + b"\n" for _, _, sha in entries))
-            ids.seek(0)
-            reader = subprocess.Popen(
-                ["git", "-C", str(path), "cat-file", "--batch", "--buffer"],
-                stdin=ids,
-                stdout=subprocess.PIPE,
-            )
-    except OSError as exc:
-        raise IoError(f"cannot run git: {exc.strerror or exc}") from exc
+    with as_io_error("cannot run git"), tempfile.TemporaryFile() as ids:
+        ids.write(b"".join(sha + b"\n" for _, _, sha in entries))
+        ids.seek(0)
+        reader = subprocess.Popen(
+            ["git", "-C", str(path), "cat-file", "--batch", "--buffer"],
+            stdin=ids,
+            stdout=subprocess.PIPE,
+        )
     # Each entry is appended as it is deflated, so the archive is held once.
     archive = Archive()
     central: list[bytes] = []

@@ -27,7 +27,7 @@ from xml.etree import ElementTree
 from xml.parsers import expat
 from xml.sax.saxutils import escape
 
-from .errors import IoError, ParseError, SchemaError
+from .errors import ParseError, SchemaError, as_io_error
 
 logger = logging.getLogger(__name__)
 
@@ -75,10 +75,8 @@ class ProvenanceConstants:
 
 def _read_text(path) -> str:
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with as_io_error("cannot read", path), open(path, encoding="utf-8", newline="") as handle:
             return handle.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
@@ -86,12 +84,14 @@ def _read_text(path) -> str:
 def _write_text_atomic(path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with as_io_error("cannot write", path):
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def _parse_project(text: str, path) -> ElementTree.Element:
@@ -228,10 +228,8 @@ def expand_patterns(patterns, base_dir) -> list[Path]:
     path separator therefore never matches anything.
     """
     base = Path(base_dir)
-    try:
+    with as_io_error("cannot list", base):
         names = sorted(os.listdir(base))
-    except OSError as exc:
-        raise IoError(f"cannot list {base}: {exc.strerror or exc}") from exc
     selected = []
     for name in names:
         if name.endswith(".md5"):

@@ -19,7 +19,6 @@ never stamped.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import re
@@ -28,8 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .client import ArticleMeta, ArticleRecord, DepotClient
-from .errors import InvalidMeta, IoError, KindMismatch, NothingToPublish
+from .client import ArticleMeta, ArticleRecord, DepotClient, md5_of
+from .errors import InvalidMeta, IoError, KindMismatch, NothingToPublish, as_io_error
 from .gitrepo import COMMIT_HASH_RE, Archive, export_archive
 
 logger = logging.getLogger(__name__)
@@ -37,8 +36,6 @@ logger = logging.getLogger(__name__)
 # One author id per line, e.g. "Jane Doe <fs:554577>"; the scheme is
 # documented in the README and easy to swap out.
 AUTHOR_TOKEN_RE = re.compile(r"<fs:(\d+)>")
-
-_MD5_CHUNK = 1 << 20
 
 
 @dataclass
@@ -83,17 +80,8 @@ class DataResult(NamedTuple):
 
 def file_md5(path) -> str:
     """MD5 of a file's current bytes, streamed."""
-    digest = hashlib.md5()
-    try:
-        with open(path, "rb") as handle:
-            while True:
-                chunk = handle.read(_MD5_CHUNK)
-                if not chunk:
-                    break
-                digest.update(chunk)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return digest.hexdigest()
+    with as_io_error("cannot read", path), open(path, "rb", buffering=0) as handle:
+        return md5_of(handle, os.fstat(handle.fileno()).st_size)[0]
 
 
 def sidecar_path(path) -> Path:
@@ -107,15 +95,13 @@ def write_sidecar(path, digest: str) -> None:
     write still moves the sidecar's times, so it is unstamped until
     :func:`_stamp` vouches for it."""
     line = (digest + "\n").encode("ascii")
-    try:
+    with as_io_error("cannot write sidecar for", path):
         fd = os.open(sidecar_path(path), os.O_WRONLY | os.O_CREAT, 0o666)
         try:
             os.write(fd, line)
             os.ftruncate(fd, len(line))
         finally:
             os.close(fd)
-    except OSError as exc:
-        raise IoError(f"cannot write sidecar for {path}: {exc.strerror or exc}") from exc
 
 
 def needs_upload(path) -> bool:
@@ -126,19 +112,15 @@ def needs_upload(path) -> bool:
     stamps the sidecar.
     """
     sidecar = sidecar_path(path)
-    try:
-        mark = sidecar.stat()
-    except FileNotFoundError:
-        return True
-    except OSError as exc:
-        raise IoError(f"cannot read {sidecar}: {exc.strerror or exc}") from exc
-    current = _stat(path)
-    if mark.st_mtime_ns == current.st_mtime_ns and current.st_ctime_ns < mark.st_ctime_ns:
-        return False
-    try:
+    with as_io_error("cannot read", sidecar):
+        try:
+            mark = sidecar.stat()
+        except FileNotFoundError:
+            return True
+        current = _stat(path)
+        if mark.st_mtime_ns == current.st_mtime_ns and current.st_ctime_ns < mark.st_ctime_ns:
+            return False
         recorded = sidecar.read_text(encoding="ascii", errors="replace").strip()
-    except OSError as exc:
-        raise IoError(f"cannot read {sidecar}: {exc.strerror or exc}") from exc
     now, before = _capture(path, {})
     if recorded != file_md5(path):
         return True
@@ -147,10 +129,8 @@ def needs_upload(path) -> bool:
 
 
 def _stat(path) -> os.stat_result:
-    try:
+    with as_io_error("cannot read", path):
         return os.stat(path)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _capture(path, clocks: dict) -> tuple[int, os.stat_result]:
@@ -204,10 +184,8 @@ def parse_authors_file(path) -> list[AuthorEntry]:
     path = Path(path)
     if not path.exists():
         return []
-    try:
+    with as_io_error("cannot read", path):
         text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc.strerror or exc}") from exc
     entries: list[AuthorEntry] = []
     seen: set[int] = set()
     for line in text.splitlines():

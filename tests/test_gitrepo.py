@@ -47,6 +47,21 @@ def test_inspect_first_remote_wins_with_warning(tmp_path, caplog):
     assert any("remote" in record.message for record in caplog.records)
 
 
+def test_inspect_starts_two_git_processes(tmp_path, monkeypatch):
+    repo = make_repo(tmp_path / "repo", remote="https://example.org/first.git")
+    commands, real_run = [], subprocess.run
+
+    def run(args, **kwargs):
+        commands.append(args[3])
+        return real_run(args, **kwargs)
+
+    monkeypatch.setattr(gitrepo.subprocess, "run", run)
+    info = inspect_repo(repo)
+    monkeypatch.undo()
+    assert commands == ["rev-parse", "config"]
+    assert info.head == git(repo, "rev-parse", "HEAD")
+
+
 def test_inspect_rejects_non_repo(tmp_path):
     with pytest.raises(NotARepository):
         inspect_repo(tmp_path)

@@ -393,6 +393,11 @@ def s_text_article_id(p):
     _ids_that_are_not_int(p, "1")
 
 
+def s_article_id_past_the_digit_limit(p):
+    # more digits than int() parses or str() prints (4300, from Python 3.11)
+    _ids_that_are_not_int(p, 10**5000)
+
+
 SCENARIOS = [
     s_create_roundtrip,
     s_create_empty_title,
@@ -441,6 +446,7 @@ SCENARIOS = [
     s_bool_article_id,
     s_float_article_id,
     s_text_article_id,
+    s_article_id_past_the_digit_limit,
 ]
 
 
@@ -619,6 +625,16 @@ def test_missing_article_error_body_is_exact(http_server):
     )
     assert response.status_code == 404
     assert response.content == b'{"error": "NotFound"}'
+
+
+def test_article_id_past_the_digit_limit_is_404(http_server, caplog):
+    with caplog.at_level(logging.ERROR, logger="curator.depot_http"):
+        response = requests.get(
+            f"{http_server.base_url}/v1/articles/{'9' * 5000}", headers=AUTH, timeout=5
+        )
+    assert response.status_code == 404
+    assert response.json() == {"error": "NotFound"}
+    assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
 
 
 def test_create_returns_201_with_article_id_only(http_server):

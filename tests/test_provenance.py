@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import glob
 import os
 import random
@@ -10,6 +11,7 @@ import pytest
 
 from conftest import STAT_HEADER, write_project, write_stat
 
+from curator import provenance
 from curator.errors import IoError, ParseError, SchemaError
 from curator.provenance import (
     ProvenanceConstants,
@@ -158,6 +160,31 @@ def test_write_ids_is_byte_idempotent(tmp_path):
     write_publication_ids(path, "input", 5, "10.5072/mockdepot.5")
     assert path.read_bytes() == first
     assert path.stat().st_mtime_ns == stamp
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_a_failed_write_leaves_the_project_and_no_temp_file(tmp_path, monkeypatch, failing):
+    path = write_project(tmp_path / "s.xml")
+    before = path.read_bytes()
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def open_on_a_full_disk(file, mode="r", **kwargs):
+        handle = open(file, mode, **kwargs)
+        if "w" in mode:
+            handle.write = no_space
+        return handle
+
+    if failing == "replace":
+        monkeypatch.setattr(os, "replace", no_space)
+    else:
+        monkeypatch.setattr(provenance, "open", open_on_a_full_disk, raising=False)
+    with pytest.raises(IoError, match="No space left on device"):
+        write_publication_ids(path, "input", 5, "10.5072/mockdepot.5")
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.xml"]
 
 
 def test_write_ids_overwrites_previous_values(tmp_path):

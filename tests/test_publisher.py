@@ -15,6 +15,7 @@ import pytest
 from conftest import git, make_repo, wait_for_clock
 
 import curator.publish as publish
+from curator.client import UPLOAD_CHUNK, ArticleMeta
 from curator.depot import Depot
 from curator.errors import InvalidMeta, IoError, KindMismatch, NotFound
 from curator.gitrepo import export_archive
@@ -42,6 +43,29 @@ def test_file_md5_matches_system_utility(tmp_path):
     path = tmp_path / "blob.bin"
     path.write_bytes(b"some bytes\x00\xff" * 100)
     assert file_md5(path) == md5sum_of(path)
+
+
+@pytest.mark.parametrize("size", [0, 1, UPLOAD_CHUNK - 1, UPLOAD_CHUNK, UPLOAD_CHUNK + 1])
+def test_every_md5_path_agrees_with_hashlib_around_the_chunk_size(tmp_path, size):
+    body = os.urandom(size)
+    path = tmp_path / "blob.bin"
+    path.write_bytes(body)
+    expected = hashlib.md5(body).hexdigest()
+    depot = Depot()
+    article_id = depot.create_article(ArticleMeta("t")).article_id
+    assert file_md5(path) == expected
+    assert depot.upload_file(article_id, path).md5 == expected
+    assert depot.upload_bytes(article_id, "again.bin", body).md5 == expected
+
+
+def test_file_md5_hashes_what_it_reads_of_a_file_that_shrank(tmp_path, monkeypatch):
+    # the size taken at open only bounds the buffer: a file shorter than it is
+    # hashed as it now stands, so it reads as changed rather than failing
+    path = tmp_path / "blob.bin"
+    path.write_bytes(b"short")
+    # st_size is the seventh field: the file had 100 bytes when opened
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result([0] * 6 + [100] + [0] * 3))
+    assert file_md5(path) == hashlib.md5(b"short").hexdigest()
 
 
 def test_sidecar_format_is_hex_plus_newline(tmp_path):
