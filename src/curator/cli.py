@@ -26,7 +26,7 @@ from .depot_http import DepotHttpServer
 from .errors import (
     CuratorError, IoError, MissingProvenance, ParseError, SchemaError, UnknownRef, as_io_error,
 )
-from .gitrepo import COMMIT_HASH_RE, inspect_repo, resolve_commit
+from .gitrepo import COMMIT_HASH_RE, COMMIT_HEX, inspect_repo, resolve_commit
 from .provenance import (
     ProvenanceConstants,
     expand_patterns,
@@ -39,7 +39,7 @@ from .publish import FilesetSpec, Publisher, SoftwareIdentity
 
 logger = logging.getLogger(__name__)
 
-HEX40_RE = re.compile(r"\b[0-9a-fA-F]{40}\b")
+REVISION_TOKEN_RE = re.compile(rf"\b(?:{COMMIT_HEX})\b", re.IGNORECASE)
 
 DEFAULT_BIND = "127.0.0.1:8080"
 DEFAULT_STATE_NAME = ".curator-depot.jsonl"
@@ -49,7 +49,7 @@ def resolve_software_version(project_dir, repo, version_header=None) -> str:
     """Decide which revision to publish.
 
     A version header file wins over the repository head: its first
-    40-hex token names the revision the binary was actually built from.
+    40- or 64-hex token names the revision the binary was actually built from.
     The token must exist in the repository.
     """
     if version_header:
@@ -58,9 +58,9 @@ def resolve_software_version(project_dir, repo, version_header=None) -> str:
             header = Path(project_dir) / header
         with as_io_error("cannot read", header):
             text = header.read_text(encoding="utf-8", errors="replace")
-        match = HEX40_RE.search(text)
+        match = REVISION_TOKEN_RE.search(text)
         if match is None:
-            raise ParseError(f"{header}: no 40-hex revision token found")
+            raise ParseError(f"{header}: no 40- or 64-hex revision token found")
         token = match.group(0).lower()
         try:
             return resolve_commit(repo, token)
@@ -260,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def repo_args(sp):
         sp.add_argument("--repo", required=True, help="local software repository")
-        sp.add_argument("--version-header", help="file whose first 40-hex token names the revision")
+        sp.add_argument("--version-header", help="file whose first commit id names the revision")
         sp.add_argument("--name", help="software name (default: repository directory name)")
 
     def prefix_arg(sp):

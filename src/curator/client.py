@@ -20,7 +20,7 @@ import re
 import selectors
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -40,18 +40,23 @@ FILE_NAME_HEADER = "X-File-Name"
 UPLOAD_CHUNK = 1 << 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArticleMeta:
-    """Descriptive metadata for a depot article (code archive or fileset)."""
+    """Descriptive metadata for a depot article (code archive or fileset). Frozen,
+    like every record; a list of tags is taken as a tuple, so it is never shared."""
 
     title: str
     description: str = ""
     kind: str = "fileset"
     category: str = ""
-    tags: list[str] = field(default_factory=list)
+    tags: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if isinstance(self.tags, list):
+            object.__setattr__(self, "tags", tuple(self.tags))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileEntry:
     """One stored file within an article version."""
 
@@ -61,17 +66,17 @@ class FileEntry:
     md5: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArticleRecord:
-    """Current state of a depot article as seen by clients."""
+    """State of a depot article as seen by clients, at one moment."""
 
     article_id: int
     meta: ArticleMeta
     status: str = "draft"  # "draft" | "published"
     version: int = 0
     doi: str | None = None
-    files: list[FileEntry] = field(default_factory=list)
-    authors: list[int] = field(default_factory=list)
+    files: tuple[FileEntry, ...] = ()
+    authors: tuple[int, ...] = ()
 
 
 @dataclass
@@ -110,13 +115,13 @@ def meta_from_wire(payload: dict) -> ArticleMeta:
         description=payload.get("description", ""),
         kind=payload.get("kind"),
         category=payload.get("category", ""),
-        tags=payload.get("tags", []),
+        tags=payload.get("tags", ()),
     )
 
 
 def record_to_wire(record: ArticleRecord) -> dict:
-    """Flatten a record into the wire-protocol article representation.
-    Lists are copied, so the result never aliases ``record``."""
+    """Flatten a record into the wire-protocol article representation,
+    its tuples as the lists JSON reads back."""
     return {
         "article_id": record.article_id,
         **meta_to_wire(record.meta),
@@ -136,8 +141,8 @@ def record_from_wire(payload: dict) -> ArticleRecord:
         status=payload["status"],
         version=payload["version"],
         doi=payload.get("doi"),
-        files=[file_entry_from_wire(f) for f in payload.get("files", [])],
-        authors=list(payload.get("authors", [])),
+        files=tuple(file_entry_from_wire(f) for f in payload.get("files", [])),
+        authors=tuple(payload.get("authors", [])),
     )
 
 

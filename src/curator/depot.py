@@ -55,12 +55,12 @@ DOI_PREFIX = "10.5072/mockdepot"
 class StoredArticle:
     """Server-side state for one article: records, never file bytes.
 
-    ``head`` is replaced by each change, never edited, and ``doi`` is its
-    DOI. ``dirty`` tracks whether changes are pending since the last
-    publish. ``published_versions`` holds, per published version, a copy
-    of the record ``get_article`` returned right after that publish; the
-    copies share no list with ``head``. Only :meth:`Depot._apply` sets
-    ``dirty`` and grows ``published_versions``.
+    ``head`` is replaced by each change, and ``doi`` is its DOI. ``dirty``
+    tracks whether changes are pending since the last publish.
+    ``published_versions`` holds, per published version, the record
+    ``get_article`` returned right after that publish: the head of that
+    moment, which no later change can alter, since records are frozen.
+    Only :meth:`Depot._apply` sets ``dirty`` and grows ``published_versions``.
     """
 
     head: ArticleRecord
@@ -93,7 +93,7 @@ def _validate_meta(meta: ArticleMeta) -> None:
         raise InvalidMeta("description must be text")
     if not isinstance(meta.category, str):
         raise InvalidMeta("category must be text")
-    if not isinstance(meta.tags, (list, tuple)):
+    if not isinstance(meta.tags, tuple):
         raise InvalidMeta("tags must be a list")
     seen = set()
     for tag in meta.tags:
@@ -128,7 +128,7 @@ def _validate_replayed(payload: dict, record: ArticleRecord, article: StoredArti
     """Hold a replayed state line to the checks the live operations apply,
     ``article`` being its article as replayed so far: after a head, a live
     operation writes the same version or the next, and never a new DOI.
-    Authors are checked in ``payload``, before ``record_from_wire`` lists them."""
+    Authors are checked in ``payload``, before ``record_from_wire`` converts them."""
     if type(record.article_id) is not int or type(record.version) is not int:
         raise InvalidMeta("article_id and version must be integers")
     _validate_meta(record.meta)
@@ -149,10 +149,8 @@ def _validate_replayed(payload: dict, record: ArticleRecord, article: StoredArti
 
 def _with_file(head: ArticleRecord, entry: FileEntry) -> ArticleRecord:
     """``head`` with ``entry`` where its same-named file stands, or last for a new name."""
-    files = [entry if held.name == entry.name else held for held in head.files]
-    if entry not in files:
-        files.append(entry)
-    return replace(head, files=files)
+    files = tuple(entry if held.name == entry.name else held for held in head.files)
+    return replace(head, files=files if entry in files else (*files, entry))
 
 
 class Depot(DepotClient):
@@ -181,13 +179,6 @@ class Depot(DepotClient):
             raise no_such_article(article_id)
         return article
 
-    @staticmethod
-    def _copy_record(record: ArticleRecord) -> ArticleRecord:
-        # Round-tripping through the wire form guarantees callers can
-        # never alias internal state, and that in-process results carry
-        # exactly the information the HTTP facade can.
-        return record_from_wire(record_to_wire(record))
-
     def _apply(self, record: ArticleRecord) -> None:
         """Make ``record`` its article's head. A published record whose
         version differs from the previous head's is frozen as that version;
@@ -202,7 +193,7 @@ class Depot(DepotClient):
         article.doi = record.doi
         article.dirty = not frozen
         if frozen:
-            article.published_versions.append(self._copy_record(record))
+            article.published_versions.append(record)
 
     def _log(self, op: str, head: ArticleRecord, detail: str) -> None:
         """Apply ``head`` and persist it; an append that fails undoes both."""
@@ -297,9 +288,9 @@ class Depot(DepotClient):
             _validate_meta(meta)
             article_id = self.state.next_article_id
             self.state.next_article_id += 1
-            head = ArticleRecord(article_id, replace(meta, tags=list(meta.tags)))
+            head = ArticleRecord(article_id, meta)
             self._log("create_article", head, meta.title)
-            return self._copy_record(head)
+            return head
 
     def upload_bytes(self, article_id: int, name: str, body) -> FileEntry:
         """Record a file under a name, replacing any same-named entry; the body
@@ -316,7 +307,7 @@ class Depot(DepotClient):
             entry = FileEntry(file_id=self.state.next_file_id, name=name, size=size, md5=md5)
             self.state.next_file_id += 1
             self._log("upload_file", _with_file(article.head, entry), name)
-            return FileEntry(**vars(entry))
+            return entry
 
     def search_by_tag(self, tag: str) -> list[ArticleRecord]:
         with self._lock:
@@ -325,7 +316,7 @@ class Depot(DepotClient):
                 # a query string cannot carry it, so no transport accepts it
                 raise InvalidMeta("tag must be UTF-8 text")
             return [
-                self._copy_record(article.head)
+                article.head
                 for _, article in sorted(self.state.articles.items())
                 if tag in article.head.meta.tags
             ]
@@ -336,23 +327,20 @@ class Depot(DepotClient):
             _require_text(tag, "tag")
             head = article.head
             if tag not in head.meta.tags:
-                head = replace(head, meta=replace(head.meta, tags=[*head.meta.tags, tag]))
+                head = replace(head, meta=replace(head.meta, tags=(*head.meta.tags, tag)))
                 self._log("add_tag", head, tag)
-            return self._copy_record(head)
+            return head
 
     def add_authors(self, article_id: int, author_ids) -> ArticleRecord:
         with self._lock:
             article = self._get(article_id)
             _validate_author_ids(author_ids)
             head = article.head
-            added = []
-            for author_id in author_ids:
-                if author_id not in head.authors and author_id not in added:
-                    added.append(author_id)
+            added = [a for a in dict.fromkeys(author_ids) if a not in head.authors]
             if added:
-                head = replace(head, authors=[*head.authors, *added])
+                head = replace(head, authors=(*head.authors, *added))
                 self._log("add_authors", head, ",".join(str(a) for a in added))
-            return self._copy_record(head)
+            return head
 
     def publish_article(self, article_id: int) -> tuple[str, int]:
         with self._lock:
@@ -367,7 +355,7 @@ class Depot(DepotClient):
 
     def get_article(self, article_id: int) -> ArticleRecord:
         with self._lock:
-            return self._copy_record(self._get(article_id).head)
+            return self._get(article_id).head
 
     # -- facade entry point -------------------------------------------
 

@@ -40,7 +40,8 @@ from .errors import IoError, NoCommits, NotARepository, UnknownRef, as_io_error
 
 logger = logging.getLogger(__name__)
 
-COMMIT_HASH_RE = re.compile(r"^[0-9a-f]{40}$")
+COMMIT_HEX = r"[0-9a-f]{64}|[0-9a-f]{40}"  # a full SHA-256 or SHA-1 commit id
+COMMIT_HASH_RE = re.compile(rf"^(?:{COMMIT_HEX})$")
 
 _REGULAR_MODES = (b"100644", b"100755")
 
@@ -92,7 +93,7 @@ def _run_git(local_path, *args) -> tuple[int, bytes, bytes]:
 
 
 def resolve_commit(local_path, ref: str) -> str:
-    """Resolve a full hash, abbreviated hash or symbolic name to 40 hex."""
+    """Resolve a full hash, abbreviated hash or symbolic name to a full commit id."""
     return _rev_parse(local_path, ref)[0]
 
 

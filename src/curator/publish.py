@@ -35,7 +35,7 @@ logger = logging.getLogger(__name__)
 
 # One author id per line, e.g. "Jane Doe <fs:554577>"; the scheme is
 # documented in the README and easy to swap out.
-AUTHOR_TOKEN_RE = re.compile(r"<fs:(\d+)>")
+AUTHOR_TOKEN_RE = re.compile(r"<fs:([0-9]+)>")
 
 
 @dataclass
@@ -176,10 +176,10 @@ def _stat_key(info: os.stat_result) -> tuple:
 def parse_authors_file(path) -> list[AuthorEntry]:
     """Extract (display name, author id) pairs from an AUTHORS file.
 
-    A line counts when it carries a ``<fs:ID>`` token with a positive
-    integer id; the display name is whatever precedes the token. Comment
-    lines and token-less lines are skipped, and a duplicated id keeps its
-    first occurrence. A missing file simply yields no authors.
+    A line counts when it carries a ``<fs:ID>`` token of ASCII digits that
+    ``int`` parses to a positive id; the display name is whatever precedes
+    the token. Comment lines and token-less lines are skipped, and a
+    duplicated id keeps its first occurrence. A missing file yields none.
     """
     path = Path(path)
     if not path.exists():
@@ -195,7 +195,10 @@ def parse_authors_file(path) -> list[AuthorEntry]:
         match = AUTHOR_TOKEN_RE.search(line)
         if match is None:
             continue
-        author_id = int(match.group(1))
+        try:
+            author_id = int(match.group(1))
+        except ValueError:  # more digits than int parses (from Python 3.11)
+            continue
         if author_id <= 0 or author_id in seen:
             continue
         seen.add(author_id)
@@ -264,7 +267,7 @@ class Publisher:
         if not identity.name or "/" in identity.name:
             raise InvalidMeta(f"software name {identity.name!r} must be a nonempty name")
         if not COMMIT_HASH_RE.match(identity.commit or ""):
-            raise InvalidMeta("commit must be a full 40-hex lowercase hash")
+            raise InvalidMeta("commit must be a full 40- or 64-hex lowercase hash")
 
         found = self.find_software(identity.commit)
         if found is not None and found[1] is not None:
@@ -278,7 +281,7 @@ class Publisher:
             description=description,
             kind="code",
             category=self._default_category,
-            tags=[identity.commit],
+            tags=(identity.commit,),
         )
         article_id = found[0] if found else self.client.create_article(meta).article_id
         exporting = time.perf_counter()
@@ -299,7 +302,7 @@ class Publisher:
     def create_fileset(self, spec: FilesetSpec) -> ArticleRecord:
         """Create the draft fileset article that ``spec`` describes."""
         meta = ArticleMeta(
-            spec.title, spec.description, "fileset", self._default_category, list(spec.tags)
+            spec.title, spec.description, "fileset", self._default_category, spec.tags
         )
         return self.client.create_article(meta)
 

@@ -221,7 +221,7 @@ def test_author_ids_flow_from_authors_file_to_depot(tmp_path):
     result = Publisher(depot).publish_software(
         SoftwareIdentity(name="repo", commit=head, local_repo=repo)
     )
-    assert depot.get_article(result.article_id).authors == [501, 502, 503, 504]
+    assert depot.get_article(result.article_id).authors == (501, 502, 503, 504)
 
 
 def test_every_client_scenario_agrees_across_transports(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import re
 import socket
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 from conftest import (
+    AUTHORS_TEXT,
     TOKEN,
     client_config,
     commit_all,
@@ -106,6 +108,25 @@ def test_version_header_without_token(tmp_path):
     header.write_text('#define VERSION "4.1.12"\n')
     with pytest.raises(ParseError):
         resolve_software_version(tmp_path, repo, header)
+
+
+def make_sha256_repo(root):
+    """A one-commit repository whose commit ids are SHA-256: 64 hex digits."""
+    root.mkdir(parents=True)
+    git(root, "init", "-q", "-b", "main", "--object-format=sha256")
+    (root / "main.c").write_text("int main(void) { return 0; }\n")
+    (root / "AUTHORS").write_text(AUTHORS_TEXT)
+    commit_all(root, "initial")
+    return root
+
+
+def test_version_header_finds_a_64_hex_token(tmp_path):
+    repo = make_sha256_repo(tmp_path / "repo")
+    head = git(repo, "rev-parse", "HEAD")
+    assert len(head) == 64
+    header = tmp_path / "version.h"
+    header.write_text(f'#define VERSION "4.1.12-{head.upper()}"\n')
+    assert resolve_software_version(tmp_path, repo, header) == head
 
 
 # -- usage errors --------------------------------------------------------
@@ -330,6 +351,40 @@ def test_rerun_is_idempotent(tmp_path, capsys):
     assert (sim / ".curator-depot.jsonl").read_bytes() == state_snapshot
 
 
+def test_publish_all_from_a_sha256_repository(tmp_path, capsys):
+    sim = make_sim_dir(tmp_path / "sim")
+    project = sim / "top_hat.xml"
+    repo = make_sha256_repo(tmp_path / "repo")
+    head = git(repo, "rev-parse", "HEAD")
+    run_simulation(sim)
+
+    assert run(["publish-all", *mock_args(project, "--repo", str(repo))]) == 0
+    assert f"software repo at revision {head}" in capsys.readouterr().out
+    software = read_publish_options(project).slot("software")
+    depot = Depot(state_path=sim / ".curator-depot.jsonl")
+    assert depot.get_article(software.article_id).meta.tags == (head,)
+    stat = (sim / "top_hat.stat").read_text()
+    assert f'name="FluidityVersion" type="string" value="{head}"' in stat
+
+
+def test_sha256_software_rerun_reuses_and_next_revision_uses_the_export_cache(
+    tmp_path, capsys, caplog
+):
+    sim = make_sim_dir(tmp_path / "sim")
+    repo = make_sha256_repo(tmp_path / "repo")
+    argv = ["publish-software", *mock_args(sim / "top_hat.xml", "--repo", str(repo))]
+    assert run(argv) == 0
+    assert run(argv) == 0
+    assert "reusing 10.5072/mockdepot.1" in capsys.readouterr().out
+
+    (repo / "main.c").write_text("int main(void) { return 1; }\n")
+    head = commit_all(repo, "second")
+    caplog.set_level(logging.INFO, logger="curator.publish")
+    assert run(argv) == 0
+    assert f"software repo at revision {head}" in capsys.readouterr().out
+    assert "(1 entries from the export cache, 1 deflated)" in caplog.text
+
+
 def test_publish_all_equals_three_verbs(tmp_path, capsys):
     repo = make_repo(tmp_path / "solver")
     staged = make_sim_dir(tmp_path / "staged")
@@ -495,6 +550,23 @@ def test_export_cache_carries_deflated_blobs_to_the_next_process(tmp_path):
     (entry,) = records[0].files
     assert entry.name == f"solver-{head[:7]}.zip"
     assert entry.md5 == hashlib.md5(cold).hexdigest()
+
+
+def test_authors_ids_too_long_to_parse_or_not_ascii_do_not_count(tmp_path):
+    sim = make_sim_dir(tmp_path / "sim")
+    authors = f"Huge <fs:{'9' * 5000}>\nArabic <fs:\u0663>\nAlex Fixture <fs:9001>\n"
+    repo = make_repo(tmp_path / "repo", files={"main.c": "int main;\n", "AUTHORS": authors})
+    state = sim / ".curator-depot.jsonl"
+    argv = [sys.executable, "-m", "curator", "publish-software", "-p", str(sim / "top_hat.xml")]
+    argv += ["--backend", "mock", "--repo", str(repo)]
+    env = dict(os.environ, CURATOR_CONFIG=str(tmp_path / "unset"))
+
+    result = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    # int parses at most 4300 digits from Python 3.11; earlier, the huge id is an id
+    huge = () if hasattr(sys, "get_int_max_str_digits") else (int("9" * 5000),)
+    assert Depot(state_path=state).get_article(1).authors == (*huge, 9001)
 
 
 def test_software_rerun_inspects_repo_once(tmp_path, capsys, monkeypatch):

@@ -198,7 +198,7 @@ def test_a_retried_upload_sends_the_file_from_its_start(tmp_path, monkeypatch):
             server.stop()
     assert delays == [0.5]
     assert (entry.size, entry.md5) == (8 << 20, hashlib.md5(path.read_bytes()).hexdigest())
-    assert depot.get_article(article_id).files == [entry]
+    assert depot.get_article(article_id).files == (entry,)
 
 
 def test_wrong_token_upload_larger_than_the_socket_buffers_is_auth_failure(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -32,7 +33,7 @@ def test_create_then_get_identical(depot):
     assert fetched.status == "draft"
     assert fetched.version == 0
     assert fetched.doi is None
-    assert fetched.files == []
+    assert fetched.files == ()
 
 
 def test_article_ids_increment_and_skip_nothing(depot):
@@ -133,7 +134,7 @@ def test_upload_body_of_an_int_is_a_type_error(depot):
     article_id = depot.create_article(meta()).article_id
     with pytest.raises(TypeError):
         depot.upload_bytes(article_id, "a.dat", 5)
-    assert depot.get_article(article_id).files == []
+    assert depot.get_article(article_id).files == ()
 
 
 def test_upload_to_missing_article(depot):
@@ -204,14 +205,14 @@ def test_tags_and_authors_are_deduplicated(depot):
     depot.add_tag(article.article_id, "a")
     depot.add_tag(article.article_id, "b")
     record = depot.add_tag(article.article_id, "a")
-    assert record.meta.tags == ["a", "b"]
+    assert record.meta.tags == ("a", "b")
 
     record = depot.add_authors(article.article_id, [7, 7, 8])
-    assert record.authors == [7, 8]
+    assert record.authors == (7, 8)
     record = depot.add_authors(article.article_id, [5, 8])
-    assert record.authors == [7, 8, 5]
+    assert record.authors == (7, 8, 5)
     record = depot.add_authors(article.article_id, [])
-    assert record.authors == [7, 8, 5]
+    assert record.authors == (7, 8, 5)
 
 
 @pytest.mark.parametrize("ids", [[0], [-3], [True], ["9"], "oops", [1.5]])
@@ -282,6 +283,66 @@ def test_snapshots_stay_frozen_as_versions_advance(depot):
     assert [(f.file_id, f.name, f.md5) for f in first.files] == first_files
     assert len(stored.published_versions) == 2
     assert stored.published_versions[1].files[0].md5 == hashlib.md5(b"v2 bytes").hexdigest()
+
+
+def scribble(record):
+    """Try each way a caller could change a record in place, ignoring refusals."""
+    attempts = (
+        lambda: record.meta.tags.append("z"),
+        lambda: setattr(record.meta, "title", "changed"),
+        lambda: record.files.append(record.files[0]),
+        lambda: setattr(record.files[0], "md5", "0" * 32),
+        lambda: record.authors.append(99),
+        lambda: setattr(record, "version", 99),
+        lambda: setattr(record, "files", []),
+    )
+    for attempt in attempts:
+        with contextlib.suppress(AttributeError, IndexError, TypeError):
+            attempt()
+
+
+def published_wire(depot, article_id):
+    return [record_to_wire(r) for r in depot.state.articles[article_id].published_versions]
+
+
+def test_a_callers_tags_list_is_not_depot_state(depot):
+    tags = ["x"]
+    article_id = depot.create_article(meta(tags=tags)).article_id
+    tags.append("y")
+    tags[0] = "changed"
+    assert record_to_wire(depot.get_article(article_id))["tags"] == ["x"]
+    assert [record_to_wire(r)["tags"] for r in depot.search_by_tag("x")] == [["x"]]
+
+
+def test_changing_a_returned_record_leaves_the_depot_as_it_was(depot):
+    created = depot.create_article(meta(tags=["x"]))
+    article_id = created.article_id
+    entry = depot.upload_bytes(article_id, "a.dat", b"payload")
+    depot.add_authors(article_id, [7])
+    depot.publish_article(article_id)
+    head, versions = record_to_wire(depot.get_article(article_id)), published_wire(depot, article_id)
+
+    with contextlib.suppress(AttributeError):
+        entry.md5 = "0" * 32
+    for record in (
+        created,
+        depot.get_article(article_id),
+        *depot.search_by_tag("x"),
+        depot.add_authors(article_id, [7]),
+    ):
+        scribble(record)
+        assert record_to_wire(depot.get_article(article_id)) == head
+        assert published_wire(depot, article_id) == versions
+
+
+def test_a_published_version_refuses_change(depot):
+    article_id = depot.create_article(meta()).article_id
+    depot.upload_bytes(article_id, "a.dat", b"payload")
+    depot.publish_article(article_id)
+    head, versions = record_to_wire(depot.get_article(article_id)), published_wire(depot, article_id)
+    scribble(depot.state.articles[article_id].published_versions[0])
+    assert published_wire(depot, article_id) == versions
+    assert record_to_wire(depot.get_article(article_id)) == head
 
 
 def test_state_survives_restart(tmp_path):

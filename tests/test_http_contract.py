@@ -13,6 +13,7 @@ import struct
 import tempfile
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 import requests
@@ -101,7 +102,7 @@ def s_create_duplicate_tags(p):
 
 def s_create_with_tags_and_description(p):
     m = meta(tags=["alpha", "beta"])
-    m.description = "two-line\ndescription"
+    m = replace(m, description="two-line\ndescription")
     record = p.do("create_article", m)
     p.do("get_article", record.article_id)
 
@@ -197,7 +198,7 @@ def s_upload_body_not_bytes(p):
             for article_id in (record.article_id, 999999):
                 with pytest.raises(TypeError):
                     p.client.upload_bytes(article_id, "a.dat", body)
-    assert p.do("get_article", record.article_id).files == []
+    assert p.do("get_article", record.article_id).files == ()
 
 
 def s_publish_software_writes_no_archive_file(p):
@@ -759,7 +760,7 @@ def test_file_name_header_is_checked_after_decoding(http_server, http_client, na
     )
     assert response.status_code == 422
     assert response.json() == {"error": "InvalidMeta"}
-    assert http_client.get_article(record.article_id).files == []
+    assert http_client.get_article(record.article_id).files == ()
 
 
 def test_search_requires_tag_parameter(http_server):
@@ -821,7 +822,7 @@ def test_short_body_is_422_and_records_nothing(http_server, http_client):
     assert head.startswith(b"HTTP/1.1 422 ")
     assert b"Connection: close" in head
     assert json.loads(body) == {"error": "InvalidMeta"}
-    assert http_client.get_article(article_id).files == []
+    assert http_client.get_article(article_id).files == ()
 
 
 def test_client_gone_before_the_reply_is_one_info_line(http_server, monkeypatch, caplog, capfd):

@@ -7,6 +7,7 @@ import logging
 import os
 import re
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -174,6 +175,20 @@ def test_parse_authors_order_and_duplicates(tmp_path):
     assert [e.service_author_id for e in parse_authors_file(path)] == [30, 10, 20]
 
 
+def test_parse_authors_ids_are_ascii_digits(tmp_path):
+    path = tmp_path / "AUTHORS"
+    path.write_text("Arabic <fs:\u0663>\nFullwidth <fs:\uff17>\nAscii <fs:4>\n", encoding="utf-8")
+    assert [e.service_author_id for e in parse_authors_file(path)] == [4]
+
+
+def test_parse_authors_skips_an_id_too_long_to_parse(tmp_path):
+    path = tmp_path / "AUTHORS"
+    path.write_text(f"Huge <fs:{'9' * 5000}>\nReal <fs:4>\n")
+    # int parses at most 4300 digits from Python 3.11; earlier, the huge id is an id
+    huge = [] if hasattr(sys, "get_int_max_str_digits") else [int("9" * 5000)]
+    assert [e.service_author_id for e in parse_authors_file(path)] == [*huge, 4]
+
+
 def test_parse_authors_empty_and_missing(tmp_path):
     empty = tmp_path / "AUTHORS"
     empty.write_text("")
@@ -210,7 +225,7 @@ def test_publish_software_end_to_end(tmp_path):
     assert record.status == "published"
     assert record.version == 1
     # conftest AUTHORS fixture carries ids 9001 and 9002 in that order
-    assert record.authors == [9001, 9002]
+    assert record.authors == (9001, 9002)
 
     # the uploaded archive is exactly the deterministic export
     reference = export_archive(repo, head, name="wavesolver")
@@ -602,7 +617,7 @@ def test_publish_data_optional_fileset_authors(tmp_path):
     plain = Publisher(depot).publish_data(
         FilesetSpec(title="without authors", paths=paths)
     )
-    assert depot.get_article(plain.article_id).authors == []
+    assert depot.get_article(plain.article_id).authors == ()
 
 
 def test_publish_data_applies_tags_on_create(tmp_path):
@@ -611,7 +626,7 @@ def test_publish_data_applies_tags_on_create(tmp_path):
     result = Publisher(depot).publish_data(
         FilesetSpec(title="tagged", tags=["run-7"], paths=paths)
     )
-    assert depot.get_article(result.article_id).meta.tags == ["run-7"]
+    assert depot.get_article(result.article_id).meta.tags == ("run-7",)
 
 
 def test_publish_software_logs_one_summary(tmp_path, caplog):
