@@ -158,6 +158,24 @@ def is_utf8_text(value) -> bool:
     return True
 
 
+def json_carries(value) -> bool:
+    """False for an int with more digits than ``str`` converts (from Python
+    3.11), which no JSON text holds, so no transport accepts one."""
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:
+            return False
+    return True
+
+
+def _json_safe(value):
+    """``value`` with each int that JSON cannot carry, alone or in a list, as None."""
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value if json_carries(value) else None
+
+
 def args_to_wire(names, args) -> dict:
     """Flat wire parameters for positional arguments; ``meta`` is spread into its fields."""
     wire = {}
@@ -284,12 +302,11 @@ def read_local_file(local_path) -> FileBody:
 
 
 def no_such_article(article_id) -> NotFound:
-    """The NotFound for ``article_id``, which names it unless it is an int with
-    more digits than ``str`` converts (from Python 3.11): no depot holds one."""
-    try:
+    """The NotFound for ``article_id``, which names it unless JSON cannot carry
+    it: no depot holds one."""
+    if json_carries(article_id):
         return NotFound(f"no such article: {article_id}")
-    except ValueError:
-        return NotFound(f"no such article: an int of {article_id.bit_length()} bits")
+    return NotFound(f"no such article: an int of {article_id.bit_length()} bits")
 
 
 def upload_body(body) -> FileBody | memoryview:
@@ -489,12 +506,9 @@ class HttpDepotClient(DepotClient):
         ids = {name: fields.pop(name) for name in route.pattern.groupindex}
         for value in ids.values():
             # Exactly int, as in process: True, 1.0 and "1" name no article.
-            if type(value) is not int:
+            if type(value) is not int or not json_carries(value):
                 raise no_such_article(value)
-        try:
-            path = route.path.format(**ids)
-        except ValueError:  # an int with more digits than str converts
-            raise no_such_article(*ids.values()) from None
+        path = route.path.format(**ids)
         # A value the wire cannot carry arrives as missing (a query value or
         # file name that is not UTF-8 text) or null (in JSON), for the depot
         # to reject as it would the value.
@@ -512,7 +526,10 @@ class HttpDepotClient(DepotClient):
                 # Header values are Latin-1, so the name travels percent-encoded UTF-8.
                 headers[FILE_NAME_HEADER] = quote(fields["name"], safe="")
         else:
-            data = json.dumps(fields, default=lambda _: None).encode("utf-8")
+            data = json.dumps(
+                {name: _json_safe(value) for name, value in fields.items()},
+                default=lambda _: None,
+            ).encode("utf-8")
             headers = {"Content-Type": "application/json"}
         payload = self._request(route.method, path, data=data, headers=headers)
         try:

@@ -36,6 +36,7 @@ from .client import (
     file_entry_from_wire,
     file_entry_to_wire,
     is_utf8_text,
+    json_carries,
     md5_of,
     no_such_article,
     record_from_wire,
@@ -122,6 +123,8 @@ def _validate_author_ids(author_ids) -> None:
     for author_id in author_ids:
         if isinstance(author_id, bool) or not isinstance(author_id, int) or author_id <= 0:
             raise InvalidMeta("author ids must be positive integers")
+        if not json_carries(author_id):
+            raise InvalidMeta("an author id has more digits than JSON carries")
 
 
 def _validate_replayed(payload: dict, record: ArticleRecord, article: StoredArticle | None) -> None:

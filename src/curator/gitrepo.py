@@ -4,8 +4,8 @@ Archives are assembled from the repository object store rather than a
 working-tree copy, so the result is a pure function of the tree, the
 commit timestamp and the chosen name: entries are sorted, every
 timestamp equals the commit time, and file modes come from the tree.
-Every blob is read through one ``git cat-file --batch`` process that
-takes its ids from an unlinked temporary file, so no helper thread runs.
+Blobs are read through one ``git cat-file --batch`` process that takes
+its ids from an unlinked temporary file, so no helper thread runs.
 The zip is packed here and returned in memory, byte for byte as ``zipfile``
 would write it, zip64 records included; a name that is not UTF-8 keeps its
 bytes, as ``git archive`` keeps them. A commit time outside what a zip can
@@ -16,15 +16,19 @@ blobs, so each export keeps the deflated bytes of every blob it packed in
 one file, ``curator-deflate-cache`` in the repository's common git
 directory (shared by its linked worktrees). A later export, in any
 process, deflates only the blobs no earlier export has seen. The file
-holds copies of tracked blobs and is trusted like the object store, but
-every blob is still read from git and an entry is used only when the
-blob's CRC-32 and size and a CRC-32 of the cached bytes all match. A
-damaged, foreign or unwritable cache costs speed and never changes the
-archive, and deleting the file is always safe.
+holds copies of tracked blobs and is trusted like the object store: an
+entry is used when a CRC-32 over its whole record (blob id, the blob's
+CRC-32 and size, and the deflated bytes) holds, and git reads only the
+blobs the cache lacks or rejects. Every git process here runs with
+replace refs off, so a blob id names one content, as it does in a fresh
+clone, and the archive holds what the commit id names. A damaged,
+foreign or unwritable cache costs speed and never changes the archive,
+and deleting the file is always safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import re
@@ -63,12 +67,14 @@ _LEVEL = 9
 _CACHE_NAME = "curator-deflate-cache"
 # The cache holds only what this format, level and zlib produce; any other
 # header means the file counts as empty and is replaced.
-_CACHE_HEADER = f"curator deflate cache 1 level {_LEVEL} zlib {zlib.ZLIB_RUNTIME_VERSION}\n".encode()
-# blob id (hex, zero-padded), blob CRC-32 and size, CRC-32 of the deflated bytes, their size
-_CACHE_RECORD = struct.Struct("<64sLQLQ")
-# what an export keeps of each entry: its record, where the archive holds its
+_CACHE_HEADER = f"curator deflate cache 2 level {_LEVEL} zlib {zlib.ZLIB_RUNTIME_VERSION}\n".encode()
+# blob id (hex, zero-padded), blob CRC-32 and size, size of the deflated bytes
+_CACHE_ENTRY = struct.Struct("<64sLQQ")
+# a record: a CRC-32 of the entry and the deflated bytes, then the entry
+_CACHE_RECORD = struct.Struct("<L" + _CACHE_ENTRY.format[1:])
+# what an export keeps of each entry: the entry, where the archive holds its
 # deflated bytes, and whether they were deflated afresh
-_KEPT = struct.Struct(_CACHE_RECORD.format + "Q?")
+_KEPT = struct.Struct(_CACHE_ENTRY.format + "Q?")
 
 
 class Archive(bytearray):
@@ -86,9 +92,17 @@ class RepoInfo:
     remote_url: str | None = None
 
 
+def _git_env() -> dict[str, str]:
+    """The environment of every git process here: with replace refs off, a
+    blob id names one content, as it does in a fresh clone."""
+    return {**os.environ, "GIT_NO_REPLACE_OBJECTS": "1"}
+
+
 def _run_git(local_path, *args) -> tuple[int, bytes, bytes]:
     with as_io_error("cannot run git"):
-        proc = subprocess.run(["git", "-C", str(local_path), *args], capture_output=True)
+        proc = subprocess.run(
+            ["git", "-C", str(local_path), *args], capture_output=True, env=_git_env()
+        )
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -182,43 +196,60 @@ def export_archive(local_path, commit: str, name: str | None = None) -> Archive:
     prefix = f"{name}-{full[:7]}/".encode("utf-8", "surrogateescape")
     entries = _list_tree(path, full)
 
-    # One --buffer process answers every blob id, and git's lookups overlap
-    # compression. git reads the ids from a file, not a pipe, so nothing has
-    # to keep writing them while its replies are read.
-    with as_io_error("cannot run git"), tempfile.TemporaryFile() as ids:
-        ids.write(b"".join(sha + b"\n" for _, _, sha in entries))
-        ids.seek(0)
-        reader = subprocess.Popen(
-            ["git", "-C", str(path), "cat-file", "--batch", "--buffer"],
-            stdin=ids,
-            stdout=subprocess.PIPE,
-        )
-    # Each entry is appended as it is deflated, so the archive is held once.
+    # Each entry is appended as it is packed, so the archive is held once.
     archive = Archive()
     central: list[bytes] = []
-    # Leaving the block closes git's stdout first, so a git still writing
-    # exits on EPIPE, and then waits for it.
-    with reader, _DeflateCache(git_dir / _CACHE_NAME) as cache:
-        for rel, mode, sha in entries:
-            body = _read_blob(reader.stdout, sha, path)
-            crc = zlib.crc32(body)
-            hit = cache.take(sha, crc, len(body))
-            new = hit is None
-            if new:
-                # a raw deflate stream; zlib.compress accepts wbits only from Python 3.11
-                deflate = zlib.compressobj(_LEVEL, zlib.DEFLATED, -15)
-                data = deflate.compress(body) + deflate.flush()
-                data_crc = zlib.crc32(data)
-            else:
-                data, data_crc = hit
-            central.append(_zip_entry(archive, prefix + rel, mode, crc, len(body), data, dos_time))
-            cache.keep(sha, crc, len(body), data_crc, len(data), len(archive) - len(data), new)
+    with _DeflateCache(git_dir / _CACHE_NAME) as cache:
+        # Hits are known before git starts, so git reads only the blobs the
+        # cache lacks or rejects; a hit's bytes are read again as it is
+        # packed, so the export holds one at a time.
+        missed = {sha for _, _, sha in entries if sha not in cache.index}
+        with _cat_file(path, [sha for _, _, sha in entries if sha in missed]) as blobs:
+            for rel, mode, sha in entries:
+                new = sha in missed
+                if new:
+                    body = _read_blob(blobs, sha, path)
+                    crc, size = zlib.crc32(body), len(body)
+                    # a raw deflate stream; zlib.compress accepts wbits only from Python 3.11
+                    deflate = zlib.compressobj(_LEVEL, zlib.DEFLATED, -15)
+                    data = deflate.compress(body) + deflate.flush()
+                else:
+                    hit = cache.take(sha)
+                    if hit is None:  # no export writes a record in place
+                        raise IoError(f"deflate cache {cache.path} changed during the export")
+                    crc, size, data = hit
+                central.append(_zip_entry(archive, prefix + rel, mode, crc, size, data, dos_time))
+                cache.keep(sha, crc, size, len(data), len(archive) - len(data), new)
     start = len(archive)
     archive += b"".join(central)
     archive += _zip_end(len(central), start, len(archive) - start)
     cache.save(archive)
-    archive.cached, archive.deflated = cache.cached, cache.new
+    archive.cached, archive.deflated = len(entries) - cache.new, cache.new
     return archive
+
+
+@contextlib.contextmanager
+def _cat_file(path: Path, ids: list[bytes]):
+    """The replies of one ``git cat-file --batch --buffer`` process to ``ids``,
+    or None with no process when there are none. git reads the ids from a
+    file, not a pipe, so nothing has to keep writing them while its replies
+    are read, and its lookups overlap compression."""
+    if not ids:
+        yield None
+        return
+    with as_io_error("cannot run git"), tempfile.TemporaryFile() as id_file:
+        id_file.write(b"".join(sha + b"\n" for sha in ids))
+        id_file.seek(0)
+        reader = subprocess.Popen(
+            ["git", "-C", str(path), "cat-file", "--batch", "--buffer"],
+            stdin=id_file,
+            stdout=subprocess.PIPE,
+            env=_git_env(),
+        )
+    # Leaving the block closes git's stdout first, so a git still writing
+    # exits on EPIPE, and then waits for it.
+    with reader:
+        yield reader.stdout
 
 
 def _dos_time(seconds: int) -> tuple[int, int]:
@@ -289,20 +320,19 @@ def _read_blob(stream, sha: bytes, path: Path) -> bytes:
     return body
 
 
-
-
 class _DeflateCache:
     """The deflated blobs of earlier exports: ``_CACHE_HEADER``, then per blob a
     ``_CACHE_RECORD`` and its deflated bytes. An export appends the records it
     deflated in one write, so appends never split a record; a file that was
     missing, foreign or torn, or holds over twice the records the export used,
-    is written anew with only those. An ``OSError`` here is logged and ignored.
-    Both the index and the entries kept are small per blob, so the export
-    holds little beside the archive."""
+    is written anew with only those. Opening the file reads it through once
+    and indexes each record whose CRC-32 holds; an ``OSError`` here is logged
+    and ignored. Both the index and the entries kept are small per blob, so
+    the export holds little beside the archive."""
 
     def __init__(self, path: Path):
         self.path, self.file, self.index, self.kept = path, None, {}, bytearray()
-        self.records = self.cached = self.new = 0
+        self.records = self.new = 0
         self.whole = False  # a matching header and only whole records
 
     def __enter__(self) -> _DeflateCache:
@@ -312,11 +342,13 @@ class _DeflateCache:
             if self.file.read(offset) != _CACHE_HEADER:
                 return self
             while offset + _CACHE_RECORD.size <= end:
-                sha, *_, csize = _CACHE_RECORD.unpack(self.file.read(_CACHE_RECORD.size))
+                head = self.file.read(_CACHE_RECORD.size)
+                check, sha, *_, csize = _CACHE_RECORD.unpack(head)
                 if offset + _CACHE_RECORD.size + csize > end:
                     break
-                self.index[sha.rstrip(b"\0")] = offset
-                offset = self.file.seek(offset + _CACHE_RECORD.size + csize)
+                if zlib.crc32(self.file.read(csize), zlib.crc32(head[4:])) == check:
+                    self.index[sha.rstrip(b"\0")] = offset
+                offset += _CACHE_RECORD.size + csize
                 self.records += 1
             self.whole = offset == end
         except FileNotFoundError:
@@ -329,32 +361,28 @@ class _DeflateCache:
         if self.file is not None:
             self.file.close()
 
-    def take(self, sha: bytes, crc: int, size: int) -> tuple[bytes, int] | None:
-        """The cached deflated bytes of blob ``sha`` and their CRC-32, if its CRC
-        and size and theirs match."""
+    def take(self, sha: bytes) -> tuple[int, int, bytes] | None:
+        """Blob ``sha``'s CRC-32 and size and its cached deflated bytes, if the
+        CRC-32 of its record holds."""
         offset = self.index.get(sha)
         if offset is None:
             return None
         try:
             self.file.seek(offset)
-            _, *entry, data_crc, csize = _CACHE_RECORD.unpack(self.file.read(_CACHE_RECORD.size))
-            if entry != [crc, size]:
-                return None
+            head = self.file.read(_CACHE_RECORD.size)
+            check, _, crc, size, csize = _CACHE_RECORD.unpack(head)
             data = self.file.read(csize)
         except (OSError, struct.error) as exc:
             logger.debug("deflate cache %s not read: %s", self.path, exc)
             return None
-        if len(data) != csize or zlib.crc32(data) != data_crc:
+        if len(data) != csize or zlib.crc32(data, zlib.crc32(head[4:])) != check:
             return None
-        self.cached += 1
-        return data, data_crc
+        return crc, size, data
 
-    def keep(
-        self, sha: bytes, crc: int, size: int, data_crc: int, csize: int, start: int, new: bool
-    ) -> None:
-        """Note that the archive holds blob ``sha``'s ``csize`` deflated bytes,
-        of CRC-32 ``data_crc``, at ``start``."""
-        self.kept += _KEPT.pack(sha, crc, size, data_crc, csize, start, new)
+    def keep(self, sha: bytes, crc: int, size: int, csize: int, start: int, new: bool) -> None:
+        """Note that the archive holds the ``csize`` deflated bytes of blob
+        ``sha`` at ``start``."""
+        self.kept += _KEPT.pack(sha, crc, size, csize, start, new)
         self.new += new
 
     def save(self, archive: bytearray) -> None:
@@ -381,7 +409,8 @@ class _DeflateCache:
 
 
 def _cache_parts(view: memoryview, kept: bytearray, new_only: bool):
-    for *record, start, new in _KEPT.iter_unpack(kept):
+    for *fields, start, new in _KEPT.iter_unpack(kept):
         if new or not new_only:
-            yield _CACHE_RECORD.pack(*record)
-            yield view[start : start + record[-1]]
+            entry, data = _CACHE_ENTRY.pack(*fields), view[start : start + fields[-1]]
+            yield zlib.crc32(data, zlib.crc32(entry)).to_bytes(4, "little") + entry
+            yield data

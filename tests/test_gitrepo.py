@@ -474,6 +474,93 @@ def test_damaged_cache_gives_the_same_archive_and_is_mended(tmp_path, damage, ca
     assert export_archive(repo, "HEAD").cached == 40
 
 
+# the first record's blob id, blob CRC-32 and blob size fields, after its own CRC-32
+@pytest.mark.parametrize("field", [4, 4 + 64, 4 + 64 + 4], ids=["blob id", "crc", "size"])
+def test_damaged_record_field_gives_the_same_archive_and_is_mended(tmp_path, field):
+    repo = _revision_repo(tmp_path)
+    cold = export_archive(repo, "HEAD")
+    cache = repo / ".git" / CACHE
+    data = bytearray(cache.read_bytes())
+    data[data.index(b"\n") + 1 + field] ^= 0x01  # past the header line
+    cache.write_bytes(data)
+    again = export_archive(repo, "HEAD")
+    assert again == cold
+    assert (again.cached, again.deflated) == (39, 1)
+    assert export_archive(repo, "HEAD").cached == 40
+
+
+def _spy_on_cat_file(monkeypatch) -> list:
+    """Patch Popen to note the ids each ``cat-file`` process reads, one list per process."""
+    asked, popen = [], subprocess.Popen
+
+    def spy(argv, *args, **kwargs):
+        if "cat-file" in argv:
+            ids = kwargs["stdin"]
+            asked.append(ids.read().split())
+            ids.seek(0)
+        return popen(argv, *args, **kwargs)
+
+    monkeypatch.setattr(gitrepo.subprocess, "Popen", spy)
+    return asked
+
+
+def test_warm_export_hands_git_only_the_changed_blobs(tmp_path, monkeypatch):
+    repo = _revision_repo(tmp_path)
+    changed = [git(repo, "rev-parse", f"HEAD:src/m{index:02d}.c").encode() for index in (3, 17, 31)]
+    export_archive(repo, "HEAD~1")
+    asked = _spy_on_cat_file(monkeypatch)
+    warm = export_archive(repo, "HEAD")
+    monkeypatch.undo()
+    assert asked == [changed]
+    assert (warm.cached, warm.deflated) == (37, 3)
+    assert warm == _zipfile_reference(repo, "repo")
+
+
+def test_export_with_every_blob_cached_starts_no_cat_file(tmp_path, monkeypatch):
+    repo = _revision_repo(tmp_path)
+    cold = export_archive(repo, "HEAD")
+    asked = _spy_on_cat_file(monkeypatch)
+    warm = export_archive(repo, "HEAD")
+    monkeypatch.undo()
+    assert asked == []
+    assert (warm.cached, warm.deflated) == (40, 0)
+    assert warm == cold
+
+
+def test_cache_with_the_version_1_header_counts_as_empty_and_is_rewritten(tmp_path):
+    repo = _revision_repo(tmp_path)
+    cold = export_archive(repo, "HEAD")
+    cache = repo / ".git" / CACHE
+    header, newline, records = cache.read_bytes().partition(b"\n")
+    assert header.startswith(b"curator deflate cache 2 ")
+    cache.write_bytes(header.replace(b" cache 2 ", b" cache 1 ", 1) + newline + records)
+    again = export_archive(repo, "HEAD")
+    assert again == cold
+    assert (again.cached, again.deflated) == (0, 40)
+    assert cache.read_bytes().startswith(header + newline)
+    assert export_archive(repo, "HEAD").cached == 40
+
+
+def test_replace_refs_do_not_change_the_archive(tmp_path):
+    # A replace ref maps a.txt's blob to b.txt's; the archive must still hold
+    # what the commit id names, with a cold and a warm cache and after the
+    # ref is deleted.
+    repo = make_repo(tmp_path / "repo", files={"a.txt": "one\n", "b.txt": "two\n"})
+    before = export_archive(repo, "HEAD")
+    (repo / ".git" / CACHE).unlink()
+    replaced = git(repo, "rev-parse", "HEAD:a.txt")
+    git(repo, "replace", replaced, git(repo, "rev-parse", "HEAD:b.txt"))
+    assert git(repo, "cat-file", "blob", replaced) == "two"
+    cold = export_archive(repo, "HEAD")
+    warm = export_archive(repo, "HEAD")
+    git(repo, "replace", "-d", replaced)
+    after = export_archive(repo, "HEAD")
+    assert cold == warm == after == before
+    assert (cold.cached, warm.cached, after.cached) == (0, 2, 2)
+    with zipfile.ZipFile(io.BytesIO(cold)) as archive:
+        assert archive.read(f"repo-{git(repo, 'rev-parse', '--short=7', 'HEAD')}/a.txt") == b"one\n"
+
+
 def test_directory_in_place_of_the_cache_is_only_slower(tmp_path, caplog):
     repo = _revision_repo(tmp_path)
     (repo / ".git" / CACHE).mkdir()

@@ -281,6 +281,7 @@ def s_add_authors_bad_ids(p):
     record = p.do("create_article", meta())
     p.do("add_authors", record.article_id, [0])
     p.do("add_authors", record.article_id, [-2])
+    p.do("add_authors", record.article_id, [10**5000])
 
 
 def s_add_authors_missing_article(p):
