@@ -254,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
             )
             sp.add_argument(
                 "--state",
-                help="append-only JSONL log of the mock backend's depot state "
+                help="JSONL log of the mock backend's depot state "
                 f"(default <project dir>/{DEFAULT_STATE_NAME})",
             )
 
@@ -297,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("serve-depot", help="run the reference depot over HTTP")
     common(sp, project=False)
     sp.add_argument("--bind", default=DEFAULT_BIND, help=f"host:port (default {DEFAULT_BIND})")
-    sp.add_argument("--state", help="persist depot state to this append-only JSONL log")
+    sp.add_argument("--state", help="persist depot state to this JSONL log")
     sp.add_argument("--token", help="auth token clients must present")
     sp.set_defaults(func=_cmd_serve_depot)
 

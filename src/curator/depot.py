@@ -4,12 +4,16 @@ A small state machine that implements the full :class:`DepotClient`
 contract so the publication workflow can run with no network at all.
 Every mutation hands the touched article's new record to one state rule,
 :meth:`Depot._apply`, and is appended to an op log for test observability
-and, when a state file is given, as one line to an append-only JSONL log.
+and, when a state file is given, as one line to a JSONL log.
 An upload's line is the one file entry it added, so a line's size does not
 grow with the fileset; every other mutation's line is the article's whole
 wire-form record. Replay applies each line with the same rule, so a
 restarted process gets the same state; an upload keeps its file's record,
-never its bytes. The HTTP facade reaches it through :meth:`Depot.handle`,
+never its bytes. A load that replayed many more lines than the depot holds
+live records marks the log, and the process's first write then rewrites it
+as those records alone (:meth:`Depot._compact`) instead of appending, so a
+load's cost follows what the depot holds, not every change ever made. The
+HTTP facade reaches it through :meth:`Depot.handle`,
 which decodes, calls and encodes with the operation table in
 :mod:`curator.client`.
 """
@@ -21,6 +25,7 @@ import json
 import logging
 import os
 import threading
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -44,12 +49,20 @@ from .client import (
     upload_body,
 )
 from .errors import InvalidMeta, IoError, NotFound, NothingToPublish, ParseError, as_io_error
+from .provenance import replace_file
 
 logger = logging.getLogger(__name__)
 
 # 10.5072 is the reserved DOI test prefix, so minted values can never
 # collide with a resolvable DOI.
 DOI_PREFIX = "10.5072/mockdepot"
+
+# A load marks its log for compaction once it replayed more than twice its
+# live records and more than this many lines. Replaying a line costs about
+# 20 us, and one rewrite about 0.4 ms plus 30 us per live record (CPython
+# 3.11, ext4, 2 vCPUs), so below 64 lines a rewrite costs about as much as
+# the whole replay it would shorten.
+COMPACT_FLOOR = 64
 
 
 @dataclass
@@ -150,6 +163,17 @@ def _validate_replayed(payload: dict, record: ArticleRecord, article: StoredArti
             raise InvalidMeta(f"doi went {previous.doi} -> {record.doi}")
 
 
+def _live_records(article: StoredArticle) -> list[ArticleRecord]:
+    """The lines a load needs to rebuild ``article``: each published version,
+    then the head if changes are pending, as a draft's always are."""
+    return [*article.published_versions, *([article.head] if article.dirty else [])]
+
+
+def _log_line(change: dict) -> bytes:
+    """A change as the log holds it, whether appended or compacted."""
+    return (json.dumps(change, sort_keys=True) + "\n").encode("utf-8")
+
+
 def _with_file(head: ArticleRecord, entry: FileEntry) -> ArticleRecord:
     """``head`` with ``entry`` where its same-named file stands, or last for a new name."""
     files = tuple(entry if held.name == entry.name else held for held in head.files)
@@ -161,15 +185,18 @@ class Depot(DepotClient):
 
     All operations are serialized behind one lock, so concurrent callers
     observe a single linear history (the op log). Pass ``state_path`` to
-    persist the depot across restarts as an append-only log, one line per
-    mutation, replayed through the rule the live operations use
-    (:meth:`_apply`): everything but the op log survives a restart.
+    persist the depot across restarts as a log, one line per mutation,
+    replayed through the rule the live operations use (:meth:`_apply`):
+    everything but the op log survives a restart. A load that finds the log
+    mostly superseded leaves it to the first write to compact.
     """
 
     def __init__(self, state_path=None):
         self.state = DepotState()
         self._lock = threading.Lock()
         self._state_path = Path(state_path) if state_path else None
+        # the lines a load replayed from a log the next write compacts, else 0
+        self._compact_from = 0
         if self._state_path is not None and self._state_path.exists():
             self._load()
 
@@ -218,8 +245,12 @@ class Depot(DepotClient):
 
     def _save(self) -> None:
         """Append the newest op-log entry's change: the file entry an upload
-        added, or the head of the article any other operation touched."""
+        added, or the head of the article any other operation touched. The
+        first write after a load that marked the log compacts it instead."""
         if self._state_path is None:
+            return
+        if self._compact_from:
+            self._compact()
             return
         op, article_id, detail = self.state.op_log[-1]
         head = self.state.articles[article_id].head
@@ -228,9 +259,30 @@ class Depot(DepotClient):
             change = {"article_id": article_id, "file": file_entry_to_wire(entry)}
         else:
             change = record_to_wire(head)
-        line = json.dumps(change, sort_keys=True) + "\n"
         with as_io_error("cannot write", self._state_path), open(self._state_path, "ab") as handle:
-            handle.write(line.encode("utf-8"))
+            handle.write(_log_line(change))
+
+    def _compact(self) -> None:
+        """Replace the log with each article's live records, in id order, in
+        the lines the live operations write for them. A failed rewrite
+        leaves the old log, and the next write tries again."""
+        started = time.perf_counter()
+        lines = [
+            _log_line(record_to_wire(record))
+            for _, article in sorted(self.state.articles.items())
+            for record in _live_records(article)
+        ]
+        data = b"".join(lines)
+        replace_file(self._state_path, data)
+        logger.info(
+            "compacted %s: %d line(s) -> %d, %d byte(s) written in %.1f ms",
+            self._state_path,
+            self._compact_from,
+            len(lines),
+            len(data),
+            (time.perf_counter() - started) * 1e3,
+        )
+        self._compact_from = 0
 
     def _load(self) -> None:
         """Replay the log, passing each line to :meth:`_apply` in order, as
@@ -274,14 +326,20 @@ class Depot(DepotClient):
         if self.state.articles:
             self.state.next_article_id = max(self.state.articles) + 1
         self.state.next_file_id = max_file_id + 1
+        live = sum(len(_live_records(article)) for article in self.state.articles.values())
+        if replayed > max(2 * live, COMPACT_FLOOR):
+            self._compact_from = replayed
         logger.info(
             "loaded %d article(s) from %s: %d line(s) replayed, %d with unpublished"
-            " changes, %d torn byte(s) dropped",
+            " changes, %d torn byte(s) dropped%s",
             len(self.state.articles),
             self._state_path,
             replayed,
             sum(article.dirty for article in self.state.articles.values()),
             torn,
+            f"; {live} live record(s), so the next write compacts the log"
+            if self._compact_from
+            else "",
         )
 
     # -- contract operations -----------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+import stat
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -81,14 +82,22 @@ def _read_text(path) -> str:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _write_text_atomic(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+def replace_file(path, data: bytes) -> None:
+    """Replace the file ``path`` names with ``data`` in one rename. The temp
+    file is written beside the file a symlink at ``path`` points to, given
+    that file's permission bits and ``fsync``ed, so a link stays a link, the
+    mode is kept, and a failure leaves the file as it was and no temp file."""
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(target.name + ".tmp")
     with as_io_error("cannot write", path):
+        mode = stat.S_IMODE(os.stat(target).st_mode)
         try:
-            with open(tmp, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
+            with open(tmp, "wb") as handle:
+                os.fchmod(handle.fileno(), mode)
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
@@ -218,7 +227,7 @@ def write_publication_ids(project_path, slot: str, article_id: int, doi: str) ->
     updated = f"{edited[: match.start('attrs')]}{attrs}{edited[match.end('attrs') :]}"
     if updated != text:
         _parse_project(updated, path)
-        _write_text_atomic(path, updated)
+        replace_file(path, updated.encode("utf-8"))
 
 
 def expand_patterns(patterns, base_dir) -> list[Path]:
@@ -279,4 +288,4 @@ def inject_provenance(stat_path, constants: ProvenanceConstants) -> None:
     ):
         updated = _upsert_constant(updated, name, value, path)
     if updated != text:
-        _write_text_atomic(path, updated)
+        replace_file(path, updated.encode("utf-8"))

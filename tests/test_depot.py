@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import errno
 import hashlib
 import json
 import logging
+import os
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -986,3 +989,149 @@ def test_failed_append_leaves_the_depot_unchanged(tmp_path, op, published):
         MUTATIONS[op](depot, article_id)
     assert depot.get_article(article_id) == record
     assert (depot.state.articles, depot.state.op_log) == before
+
+
+# -- compaction --------------------------------------------------------------
+
+
+def compactable_log(directory):
+    """A 72-line log whose one article holds a single live record: its
+    published version, after 70 uploads of the same name."""
+    state = directory / "depot.jsonl"
+    depot = Depot(state_path=state)
+    article_id = depot.create_article(meta(tags=["x"])).article_id
+    for index in range(70):
+        depot.upload_bytes(article_id, "a.dat", str(index).encode())
+    depot.publish_article(article_id)
+    return state
+
+
+def line_count(path):
+    return len(path.read_bytes().splitlines())
+
+
+def _mutate(depot, rng):
+    """One random mutation over up to four articles."""
+    ids = sorted(depot.state.articles)
+    choice = rng.randrange(6) if ids else 0
+    if choice == 0 and len(ids) < 4:
+        depot.create_article(meta(title=f"t{len(ids)}", kind=rng.choice(["code", "fileset"])))
+    elif choice <= 2:
+        depot.upload_bytes(rng.choice(ids), rng.choice(["a.dat", "b.dat", "c.dat"]), rng.randbytes(4))
+    elif choice == 3:
+        depot.add_authors(rng.choice(ids), [rng.randint(1, 9)])
+    elif choice == 4:
+        depot.add_tag(rng.choice(ids), rng.choice(["x", "y", "z"]))
+    else:
+        with contextlib.suppress(NothingToPublish):
+            depot.publish_article(rng.choice(ids))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_compacted_log_replays_to_the_state_of_the_full_log(tmp_path, seed):
+    full, compacted = tmp_path / "full.jsonl", tmp_path / "compacted.jsonl"
+    one_process = Depot(state_path=full)  # never loads, so it only appends
+    rngs = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        restarted = Depot(state_path=compacted)
+        for _ in range(60):
+            _mutate(one_process, rngs[0])
+            _mutate(restarted, rngs[1])
+    assert line_count(compacted) < line_count(full)
+    assert (
+        stored_state(Depot(state_path=compacted))
+        == stored_state(Depot(state_path=full))
+        == stored_state(one_process)
+    )
+
+
+def test_a_marked_log_compacts_at_the_first_write_and_says_so(tmp_path, caplog):
+    state = compactable_log(tmp_path)
+    with caplog.at_level(logging.INFO, logger="curator.depot"):
+        depot = Depot(state_path=state)
+        assert caplog.messages[-1].endswith(
+            "72 line(s) replayed, 0 with unpublished changes, 0 torn byte(s) dropped;"
+            " 1 live record(s), so the next write compacts the log"
+        )
+        depot.add_tag(1, "late")
+        assert re.fullmatch(
+            rf"compacted {re.escape(str(state))}: 72 line\(s\) -> 2,"
+            rf" {state.stat().st_size} byte\(s\) written in \d+\.\d ms",
+            caplog.messages[-1],
+        )
+        depot.add_tag(1, "later")  # appends from here on
+    lines = [json.loads(line) for line in state.read_text().splitlines()]
+    assert [(line["version"], line["tags"]) for line in lines] == [
+        (1, ["x"]), (1, ["x", "late"]), (1, ["x", "late", "later"]),
+    ]
+    reloaded = Depot(state_path=state)
+    assert reloaded.publish_article(1) == (f"{DOI_PREFIX}.1", 2)
+    assert reloaded.upload_bytes(1, "b.dat", b"b").file_id == 71
+
+
+def test_a_failed_compaction_changes_nothing_and_the_next_write_retries(tmp_path, monkeypatch):
+    state = compactable_log(tmp_path)
+    before = state.read_bytes()
+    depot = Depot(state_path=state)
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", no_space)
+    with pytest.raises(IoError, match="No space left on device"):
+        depot.add_tag(1, "late")
+    monkeypatch.undo()
+    assert state.read_bytes() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["depot.jsonl"]
+    assert stored_state(depot) == stored_state(Depot(state_path=state))
+    depot.add_tag(1, "late")
+    assert line_count(state) == 2
+
+
+def test_a_read_only_load_never_rewrites_a_compactable_log(tmp_path):
+    state = compactable_log(tmp_path)
+    before, stamp = state.read_bytes(), state.stat().st_mtime_ns
+    depot = Depot(state_path=state)
+    assert depot.get_article(1).version == 1
+    assert depot.search_by_tag("x") == [depot.get_article(1)]
+    depot.add_tag(1, "x")  # already there, so nothing to write
+    depot.add_authors(1, [])
+    with pytest.raises(NothingToPublish):
+        depot.publish_article(1)
+    assert state.read_bytes() == before
+    assert state.stat().st_mtime_ns == stamp
+
+
+def test_a_snapshot_form_log_is_never_rewritten(tmp_path):
+    # one published head per article, as a whole-state snapshot writes it
+    source = Depot()
+    for index in range(100):
+        article_id = source.create_article(meta(title=f"t{index}")).article_id
+        source.upload_bytes(article_id, "a.dat", str(index).encode())
+        source.publish_article(article_id)
+    state = tmp_path / "depot.jsonl"
+    state.write_text(
+        "".join(
+            json.dumps(record_to_wire(article.head), sort_keys=True) + "\n"
+            for article in source.state.articles.values()
+        )
+    )
+    before = state.read_bytes()
+    Depot(state_path=state).upload_bytes(1, "b.dat", b"b")
+    after = state.read_bytes()
+    assert after.startswith(before)
+    assert after.count(b"\n") == 101
+
+
+def test_compaction_writes_through_a_symlinked_log_and_keeps_its_mode(tmp_path):
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    real = compactable_log(shared)
+    real.chmod(0o600)
+    link = tmp_path / "depot.jsonl"
+    link.symlink_to(real)
+    Depot(state_path=link).add_tag(1, "late")
+    assert link.is_symlink() and link.resolve() == real
+    assert line_count(real) == 2
+    assert real.stat().st_mode & 0o7777 == 0o600
+    assert sorted(path.name for path in shared.iterdir()) == ["depot.jsonl"]

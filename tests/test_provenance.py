@@ -187,6 +187,19 @@ def test_a_failed_write_leaves_the_project_and_no_temp_file(tmp_path, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.xml"]
 
 
+def test_write_ids_writes_through_a_symlinked_project(tmp_path):
+    (tmp_path / "shared").mkdir()
+    shared = write_project(tmp_path / "shared" / "p.xml")
+    link = tmp_path / "sim" / "p.xml"
+    link.parent.mkdir()
+    link.symlink_to(shared)
+    write_publication_ids(link, "input", 5, "10.5072/mockdepot.5")
+    assert link.is_symlink() and link.resolve() == shared
+    assert read_publish_options(shared).slot("input").article_id == 5
+    assert sorted(p.name for p in shared.parent.iterdir()) == ["p.xml"]
+    assert sorted(p.name for p in link.parent.iterdir()) == ["p.xml"]
+
+
 def test_write_ids_overwrites_previous_values(tmp_path):
     path = write_project(tmp_path / "top_hat.xml")
     write_publication_ids(path, "output", 5, "10.5072/mockdepot.5")
@@ -420,6 +433,20 @@ def test_inject_is_idempotent(tmp_path):
     inject_provenance(path, CONSTANTS)
     assert path.read_bytes() == first
     assert path.stat().st_mtime_ns == stamp
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o755], ids=oct)
+def test_rewrites_keep_the_file_mode(tmp_path, mode):
+    project = write_project(tmp_path / "p.xml")
+    stat_file = write_stat(tmp_path / "sim.stat")
+    for path in (project, stat_file):
+        path.chmod(mode)
+    write_publication_ids(project, "input", 5, "10.5072/mockdepot.5")
+    inject_provenance(stat_file, CONSTANTS)
+    assert 'article_id="5"' in project.read_text()
+    assert 'name="InputDataDOI"' in stat_file.read_text()
+    for path in (project, stat_file):
+        assert path.stat().st_mode & 0o7777 == mode
 
 
 def test_inject_replaces_only_the_value(tmp_path):
