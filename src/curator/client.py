@@ -328,9 +328,10 @@ class DepotClient(ABC):
     """Operations every depot backend must support.
 
     The abstract methods are the contract, one per entry of :data:`ROUTES`.
-    :meth:`upload_file` is the one convenience on top of it: it opens a
-    local file and hands it to :meth:`upload_bytes` as a :class:`FileBody`,
-    so no backend holds the whole file in memory.
+    Two conveniences sit on top of it. :meth:`upload_file` opens a local
+    file and hands it to :meth:`upload_bytes` as a :class:`FileBody`, so no
+    backend holds the whole file in memory; :meth:`upload_changed` does so
+    only when the file's MD5 differs from one recorded earlier.
     """
 
     @abstractmethod
@@ -346,6 +347,16 @@ class DepotClient(ABC):
         """Upload a local file under its base name, streamed from disk."""
         with read_local_file(local_path) as body:
             return self.upload_bytes(article_id, Path(local_path).name, body)
+
+    def upload_changed(self, article_id: int, local_path, recorded_md5: str) -> FileEntry | None:
+        """Upload a local file as :meth:`upload_file` does unless its MD5 is
+        ``recorded_md5``; then return None, with nothing sent or recorded and
+        the article left unchecked. Here the file is hashed before the
+        upload; :class:`curator.depot.Depot` hashes it once, as it records it."""
+        with read_local_file(local_path) as body:
+            if md5_of(body, len(body))[0] == recorded_md5:
+                return None
+        return self.upload_file(article_id, local_path)
 
     @abstractmethod
     def search_by_tag(self, tag: str) -> list[ArticleRecord]:

@@ -44,6 +44,7 @@ from .client import (
     json_carries,
     md5_of,
     no_such_article,
+    read_local_file,
     record_from_wire,
     record_to_wire,
     upload_body,
@@ -356,15 +357,30 @@ class Depot(DepotClient):
     def upload_bytes(self, article_id: int, name: str, body) -> FileEntry:
         """Record a file under a name, replacing any same-named entry; the body
         is not kept, and a :class:`FileBody` is hashed from its start in chunks."""
-        body = upload_body(body)
+        return self._record_upload(article_id, name, upload_body(body))
+
+    def upload_changed(self, article_id: int, local_path, recorded_md5: str) -> FileEntry | None:
+        """:meth:`DepotClient.upload_changed` with the one hash the upload makes:
+        a file whose MD5 is ``recorded_md5`` is read once and records nothing."""
+        with read_local_file(local_path) as body:
+            return self._record_upload(article_id, Path(local_path).name, body, recorded_md5)
+
+    def _record_upload(
+        self, article_id: int, name: str, body, unless_md5: str | None = None
+    ) -> FileEntry | None:
+        """Hash ``body``, then record it as ``upload_bytes`` does unless its
+        MD5 is ``unless_md5``. The body is read before the article and name
+        are checked, as the HTTP facade reads a whole request first."""
         with self._lock:
-            article = self._get(article_id)
-            _validate_file_name(name)
             if isinstance(body, FileBody):
                 body.rewind()
                 md5, size = md5_of(body, len(body))
             else:
                 md5, size = hashlib.md5(body).hexdigest(), body.nbytes
+            if md5 == unless_md5:
+                return None
+            article = self._get(article_id)
+            _validate_file_name(name)
             entry = FileEntry(file_id=self.state.next_file_id, name=name, size=size, md5=md5)
             self.state.next_file_id += 1
             self._log("upload_file", _with_file(article.head, entry), name)

@@ -14,7 +14,10 @@ file's mtime, and is trusted from ``os.stat`` alone while the file's ctime
 stays older than the sidecar's. User space cannot set ctime, so a restore
 that keeps the mtime (``cp -p``) or a swapped inode is hashed again; as in
 git's racy-clean rule, a file changed in the clock tick it is read in is
-never stamped.
+never stamped. ``publish_data`` offers such a file to the depot with the
+digest its sidecar records (:meth:`DepotClient.upload_changed`), so it is
+read once: by the in-process depot as it takes the upload, or over HTTP by
+the client, which sends it only when it changed.
 """
 
 from __future__ import annotations
@@ -111,21 +114,33 @@ def needs_upload(path) -> bool:
     without reading the file; otherwise the file is hashed, and a match
     stamps the sidecar.
     """
-    sidecar = sidecar_path(path)
-    with as_io_error("cannot read", sidecar):
-        try:
-            mark = sidecar.stat()
-        except FileNotFoundError:
-            return True
-        current = _stat(path)
-        if mark.st_mtime_ns == current.st_mtime_ns and current.st_ctime_ns < mark.st_ctime_ns:
-            return False
-        recorded = sidecar.read_text(encoding="ascii", errors="replace").strip()
+    vouched, recorded = _check_sidecar(path)
+    if vouched:
+        return False
+    if recorded is None:
+        return True
     now, before = _capture(path, {})
     if recorded != file_md5(path):
         return True
     _stamp(path, before, now)
     return False
+
+
+def _check_sidecar(path) -> tuple[bool, str | None]:
+    """What ``os.stat`` alone says of ``path``'s sidecar, as (vouched, recorded):
+    vouched when it is stamped for the file's current mtime and ctime, and
+    otherwise the digest it records, for a hash of the file to confirm, or
+    None when there is no sidecar."""
+    sidecar = sidecar_path(path)
+    with as_io_error("cannot read", sidecar):
+        try:
+            mark = sidecar.stat()
+        except FileNotFoundError:
+            return False, None
+        current = _stat(path)
+        if mark.st_mtime_ns == current.st_mtime_ns and current.st_ctime_ns < mark.st_ctime_ns:
+            return True, None
+        return False, sidecar.read_text(encoding="ascii", errors="replace").strip()
 
 
 def _stat(path) -> os.stat_result:
@@ -332,14 +347,25 @@ class Publisher:
 
         uploaded = []
         skipped = []
-        uploaded_bytes = 0
+        uploaded_bytes = rehashed = rehashed_bytes = 0
         clocks: dict = {}
         for path in paths:
-            if path.name in held and not needs_upload(path):
+            vouched, recorded = _check_sidecar(path) if path.name in held else (False, None)
+            if vouched:
                 skipped.append(path)
                 continue
             now, before = _capture(path, clocks)
-            entry = self.client.upload_file(article_id, path)
+            if recorded is None:
+                entry = self.client.upload_file(article_id, path)
+            else:
+                # the one hash of the file: the depot's, or the client's before it sends
+                rehashed += 1
+                rehashed_bytes += before.st_size
+                entry = self.client.upload_changed(article_id, path, recorded)
+                if entry is None:
+                    _stamp(path, before, now)
+                    skipped.append(path)
+                    continue
             write_sidecar(path, entry.md5)
             _stamp(path, before, now)
             uploaded.append(path)
@@ -352,10 +378,13 @@ class Publisher:
             doi = record.doi
             logger.info("article %s unchanged; keeping %s", article_id, doi)
         logger.info(
-            "fileset %s: %d files matched, %d skipped, %d uploaded (%.1f MiB) in %.0f ms",
+            "fileset %s: %d files matched, %d skipped, %d rehashed (%.1f MiB),"
+            " %d uploaded (%.1f MiB) in %.0f ms",
             article_id,
             len(paths),
             len(skipped),
+            rehashed,
+            rehashed_bytes / (1 << 20),
             len(uploaded),
             uploaded_bytes / (1 << 20),
             (time.perf_counter() - started) * 1000,

@@ -1088,6 +1088,19 @@ def test_a_failed_compaction_changes_nothing_and_the_next_write_retries(tmp_path
     assert line_count(state) == 2
 
 
+def test_a_compaction_replaces_the_temp_file_a_killed_one_left(tmp_path):
+    state = compactable_log(tmp_path)
+    # a rewrite killed between its temp file's write and the replace leaves
+    # the old log and a partial temp file, here longer than the new log
+    stale = tmp_path / "depot.jsonl.tmp"
+    stale.write_bytes(b'{"article_id": 1, "status": "publ' * 1000)
+    depot = Depot(state_path=state)
+    depot.add_tag(1, "late")
+    assert line_count(state) == 2
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["depot.jsonl"]
+    assert stored_state(Depot(state_path=state)) == stored_state(depot)
+
+
 def test_a_read_only_load_never_rewrites_a_compactable_log(tmp_path):
     state = compactable_log(tmp_path)
     before, stamp = state.read_bytes(), state.stat().st_mtime_ns

@@ -14,6 +14,7 @@ import tempfile
 import threading
 import time
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 import requests
@@ -26,6 +27,7 @@ from curator.client import (
     ArticleMeta,
     ArticleRecord,
     DepotClient,
+    FileBody,
     FileEntry,
     HttpDepotClient,
     file_entry_to_wire,
@@ -33,7 +35,7 @@ from curator.client import (
     record_to_wire,
 )
 from curator.depot import Depot
-from curator.depot_http import DepotHttpServer, _Server
+from curator.depot_http import DepotHttpServer, _Handler, _Server
 from curator.errors import BindError, CuratorError
 from curator.gitrepo import export_archive
 from curator.publish import Publisher, SoftwareIdentity
@@ -186,6 +188,50 @@ def s_upload_file_shrunk_after_open(p):
     with read_local_file(path) as body:
         os.truncate(path, UPLOAD_CHUNK)
         p.do("upload_bytes", record.article_id, path.name, body)
+    p.do("get_article", record.article_id)
+
+
+def s_upload_file_shrunk_to_missing_article(p):
+    # the body is read before the article is looked up, in process as over
+    # HTTP, where the client sends it whole before the depot answers
+    path = p.file(bytes(3 * UPLOAD_CHUNK))
+    with read_local_file(path) as body:
+        os.truncate(path, UPLOAD_CHUNK)
+        p.do("upload_bytes", 999999, path.name, body)
+    assert p.log[-1] == ("upload_bytes", "error", "IoError")
+
+
+def s_upload_changed(p):
+    # the file's own MD5 records nothing, even for an article the depot does
+    # not hold; any other digest records what upload_file would
+    record = p.do("create_article", meta())
+    path = p.file(b"same bytes", "data.vtu")
+    first = p.do("upload_file", record.article_id, path)
+    for article_id in (record.article_id, 999999):
+        assert p.do("upload_changed", article_id, path, first.md5) is None
+    p.do("get_article", record.article_id)
+    entry = p.do("upload_changed", record.article_id, path, "0" * 32)
+    assert entry == replace(first, file_id=first.file_id + 1)
+    p.do("upload_changed", 999999, path, "0" * 32)
+    p.do("get_article", record.article_id)
+
+
+def s_upload_changed_file_shrunk_after_open(p):
+    # as for upload_file, a file that ends early is no upload, and no match either
+    record = p.do("create_article", meta())
+    path = p.file(bytes(3 * UPLOAD_CHUNK))
+    md5 = hashlib.md5(path.read_bytes()).hexdigest()
+    opened = FileBody.__init__
+
+    def shrink_after_open(body, handle, local_path):
+        opened(body, handle, local_path)
+        os.truncate(local_path, UPLOAD_CHUNK)
+
+    for recorded in (md5, "0" * 32):
+        with mock.patch.object(FileBody, "__init__", shrink_after_open):
+            p.do("upload_changed", record.article_id, path, recorded)
+        assert p.log[-1] == ("upload_changed", "error", "IoError")
+        path.write_bytes(bytes(3 * UPLOAD_CHUNK))
     p.do("get_article", record.article_id)
 
 
@@ -418,6 +464,9 @@ SCENARIOS = [
     s_upload_typed_buffer,
     s_upload_file_grown_after_open,
     s_upload_file_shrunk_after_open,
+    s_upload_file_shrunk_to_missing_article,
+    s_upload_changed,
+    s_upload_changed_file_shrunk_after_open,
     s_upload_body_not_bytes,
     s_publish_software_writes_no_archive_file,
     s_search_no_hits,
@@ -521,6 +570,36 @@ def test_contract_holds_across_restarts(scenario, tmp_path):
     assert {i: _persisted(a) for i, a in reloaded.state.articles.items()} == {
         i: _persisted(a) for i, a in steady_depot.state.articles.items()
     }
+
+
+@pytest.mark.parametrize("transport", ["direct", "http"])
+def test_upload_changed_with_the_files_own_md5_changes_nothing(tmp_path, monkeypatch, transport):
+    depot = Depot(state_path=tmp_path / "depot.jsonl")
+    article_id = depot.create_article(meta()).article_id
+    path = tmp_path / "data.vtu"
+    path.write_bytes(b"payload")
+    entry = depot.upload_file(article_id, path)
+    before = depot.get_article(article_id), list(depot.state.op_log)
+    log = (tmp_path / "depot.jsonl").read_bytes()
+    requests_seen = []
+    dispatch = _Handler._dispatch
+    monkeypatch.setattr(
+        _Handler,
+        "_dispatch",
+        lambda handler, method: requests_seen.append(method) or dispatch(handler, method),
+    )
+    if transport == "direct":
+        assert depot.upload_changed(article_id, path, entry.md5) is None
+    else:
+        server = DepotHttpServer("127.0.0.1:0", depot, TOKEN).start()
+        try:
+            with HttpDepotClient(client_config(server.base_url)) as client:
+                assert client.upload_changed(article_id, path, entry.md5) is None
+        finally:
+            server.stop()
+    assert requests_seen == []
+    assert (depot.get_article(article_id), depot.state.op_log) == before
+    assert (tmp_path / "depot.jsonl").read_bytes() == log
 
 
 def test_scenario_count_covers_contract():

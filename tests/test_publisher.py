@@ -15,8 +15,10 @@ import pytest
 
 from conftest import git, make_repo, wait_for_clock
 
+import curator.client
+import curator.depot
 import curator.publish as publish
-from curator.client import UPLOAD_CHUNK, ArticleMeta
+from curator.client import UPLOAD_CHUNK, ArticleMeta, md5_of
 from curator.depot import Depot
 from curator.errors import InvalidMeta, IoError, KindMismatch, NotFound
 from curator.gitrepo import export_archive
@@ -399,6 +401,7 @@ def test_publish_data_logs_one_summary(tmp_path, caplog):
     depot = Depot()
     publisher = Publisher(depot)
     paths = _data_files(tmp_path)
+    wait_for_clock(*paths)  # so the stat vouches for every file left unchanged
     first = publisher.publish_data(FilesetSpec(title="run data", paths=paths))
 
     paths[1].write_text("changed content\n")
@@ -409,8 +412,8 @@ def test_publish_data_logs_one_summary(tmp_path, caplog):
     summaries = [r.getMessage() for r in caplog.records if "files matched" in r.getMessage()]
     assert len(summaries) == 1
     assert re.fullmatch(
-        rf"fileset {first.article_id}: 3 files matched, 2 skipped, 1 uploaded \(0\.0 MiB\)"
-        r" in \d+ ms",
+        rf"fileset {first.article_id}: 3 files matched, 2 skipped, 1 rehashed \(0\.0 MiB\),"
+        r" 1 uploaded \(0\.0 MiB\) in \d+ ms",
         summaries[0],
     )
 
@@ -419,11 +422,17 @@ def test_publish_data_logs_one_summary(tmp_path, caplog):
 
 
 def _count_hashes(monkeypatch) -> list:
-    """Record every path that curator.publish hashes."""
+    """Record the path of every MD5 pass over a file, wherever it runs: in
+    curator.publish, curator.client or curator.depot."""
     hashed = []
-    monkeypatch.setattr(
-        publish, "file_md5", lambda path: hashed.append(Path(path)) or file_md5(path)
-    )
+
+    def counting_md5_of(stream, size):
+        # a FileBody names its file; file_md5 hashes a raw file object
+        hashed.append(Path(getattr(stream, "_path", None) or stream.name))
+        return md5_of(stream, size)
+
+    for module in (publish, curator.client, curator.depot):
+        monkeypatch.setattr(module, "md5_of", counting_md5_of)
     return hashed
 
 
