@@ -12,12 +12,13 @@ client builds its requests from it and the facade in
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import os
 import re
-import selectors
+import select
+import socket
+import ssl
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -38,6 +39,8 @@ RETRY_BACKOFF = (0.5, 1.0, 2.0)
 FILE_NAME_HEADER = "X-File-Name"
 # Bytes per read of a file being uploaded, and per socket write of its body.
 UPLOAD_CHUNK = 1 << 20
+# The caps http.client puts on a reply's head: bytes in a line, and header lines.
+MAX_LINE, MAX_HEADERS = 65536, 100
 
 
 @dataclass(frozen=True)
@@ -301,6 +304,15 @@ def read_local_file(local_path) -> FileBody:
         return FileBody(open(local_path, "rb"), local_path)
 
 
+def content_length(value: str) -> int:
+    """A request's or reply's Content-Length: ASCII digits only (RFC 9110), as
+    ``int`` also reads signs and underscores, which a proxy frames otherwise."""
+    value = value.strip(" \t")
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"Content-Length {value[:32]!r} is not a nonnegative integer")
+    return int(value)
+
+
 def no_such_article(article_id) -> NotFound:
     """The NotFound for ``article_id``, which names it unless JSON cannot carry
     it: no depot holds one."""
@@ -311,14 +323,14 @@ def no_such_article(article_id) -> NotFound:
 
 def upload_body(body) -> FileBody | memoryview:
     """The one rule for an upload body, which both backends apply first: a
-    FileBody, or a bytes-like object, taken as a memoryview so it is never
-    copied. Anything else (an int, a str, a list, an open file) is a TypeError."""
+    FileBody, or a bytes-like object, taken as a memoryview of its bytes so it
+    is never copied. Anything else (an int, a str, a list, an open file) is a TypeError."""
     if isinstance(body, FileBody):
         return body
     try:
         view = memoryview(body)
         if view.c_contiguous:
-            return view
+            return view.cast("B")
     except TypeError:
         pass
     raise TypeError(f"an upload body is a FileBody or bytes-like, not {type(body).__name__}")
@@ -388,30 +400,69 @@ class _Reply:
     content: bytes
 
 
-def _peer_closed(connection: http.client.HTTPConnection) -> bool:
+def _peer_closed(sock: socket.socket) -> bool:
     """True when an idle connection's socket is readable: the depot sends
     nothing unasked, so that means it closed the connection."""
-    if connection.sock is None:
-        return False
-    with selectors.DefaultSelector() as selector:
-        selector.register(connection.sock, selectors.EVENT_READ)
-        return bool(selector.select(0))
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _read_line(reader) -> bytes:
+    line = reader.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise ValueError(f"a reply line is longer than {MAX_LINE} bytes")
+    return line
+
+
+def _read_reply(reader) -> tuple[_Reply, bool]:
+    """One reply, and whether its connection can carry another; a reply
+    without a Content-Length runs until the depot closes the connection."""
+    line = _read_line(reader)
+    if not line:
+        raise ConnectionResetError("the depot closed the connection without a reply")
+    status = re.fullmatch(rb"HTTP/1\.([01]) (\d{3})(?: .*)?\r?\n", line)
+    if status is None:
+        raise ValueError(f"not an HTTP/1.x status line: {line[:64]!r}")
+    headers = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip(" \t\r\n")
+    else:
+        raise ValueError(f"a reply has more than {MAX_HEADERS} header lines")
+    if "transfer-encoding" in headers:
+        raise ValueError(f"a reply in transfer coding {headers['transfer-encoding']!r}")
+    if "content-length" not in headers:
+        return _Reply(int(status[2]), reader.read()), False
+    length = content_length(headers["content-length"])
+    body = reader.read(length)
+    if len(body) < length:
+        raise ValueError(f"a reply ended after {len(body)} of {length} bytes")
+    keep = status[1] == b"1" and headers.get("connection", "").lower() != "close"
+    return _Reply(int(status[2]), body), keep
 
 
 class HttpDepotClient(DepotClient):
     """Depot client over one HTTP/1.1 keep-alive connection.
 
+    A request and up to UPLOAD_CHUNK bytes of its body leave in one socket
+    write; ``https`` certificates are checked with the default SSL context.
     Every call reuses the connection the previous call left idle, or opens
     a new one when there is none or the depot has closed it. A call that
-    fails in any way discards its connection. Connection failures (refused,
-    reset, unreachable, closed without a reply) and timeouts are retried
-    with the RETRY_BACKOFF schedule before raising TransportError, except a
-    POST whose reply timed out: the depot may already have applied it, so
-    it is not sent again. A request that breaks off because the depot
-    answered it early and closed (a 401 before the body is read) gets that
-    answer. Any other failure is TransportError at once, and an error
-    reply maps to the error kind named in its body. All calls
-    carry a bounded timeout, so no operation blocks indefinitely.
+    fails in any way, or whose reply says ``Connection: close``, discards
+    its connection. Connection failures (refused, reset, unreachable,
+    closed without a reply) and timeouts are retried with the RETRY_BACKOFF
+    schedule before raising TransportError, except a POST whose reply timed
+    out: the depot may already have applied it, so it is not sent again. A
+    request that breaks off because the depot answered it early and closed
+    (a 401 before the body is read) gets that answer. Any other failure,
+    such as a reply that is not HTTP/1.x, is chunked, ends short of its
+    Content-Length or has a head past MAX_LINE or MAX_HEADERS, is
+    TransportError at once, and an error reply maps to the error kind named
+    in its body. All calls carry a bounded timeout.
     """
 
     def __init__(self, config: ClientConfig, timeout: float = DEFAULT_TIMEOUT):
@@ -427,19 +478,21 @@ class HttpDepotClient(DepotClient):
             raise ValueError(f"credential fields must be nonempty: {', '.join(missing)}")
         self._base = config.base_url.rstrip("/")
         self._root = url.path.rstrip("/")
-        connection_class = (
-            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
-        )
-        self._connect = partial(
-            connection_class, url.hostname, url.port, timeout=timeout, blocksize=UPLOAD_CHUNK
-        )
-        self._connection: http.client.HTTPConnection | None = None
-        self._headers = {"Authorization": f"token {config.token}"}
+        host = url.netloc.rpartition("@")[2]
+        if re.search(r"[\x00-\x1f\x7f]", host + self._root + config.token):
+            raise ValueError("base_url and token must hold no control characters")
+        self._address = (url.hostname, url.port or (443 if url.scheme == "https" else 80))
+        self._tls = url.scheme == "https"
+        self._timeout = timeout
+        self._headers = {"Host": host, "Authorization": f"token {config.token}"}
+        self._sock = self._reader = None  # the kept-alive connection and its reply reader
 
     def close(self) -> None:
         """Close the kept-alive connection; a later call opens a new one."""
-        if self._connection is not None:
-            self._connection.close()
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def __enter__(self) -> HttpDepotClient:
         return self
@@ -447,34 +500,55 @@ class HttpDepotClient(DepotClient):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _open(self) -> None:
+        context = ssl.create_default_context() if self._tls else None
+        sock = socket.create_connection(self._address, self._timeout)
+        # a body's last write must not wait for the depot's ACK (Nagle's algorithm)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if context is not None:
+            sock = context.wrap_socket(sock, server_hostname=self._address[0])
+        self._sock, self._reader = sock, sock.makefile("rb")
+
+    def _send(self, method: str, path: str, data, headers) -> None:
+        """Write one request: its head and the first UPLOAD_CHUNK bytes of
+        its body in one write, then the rest of the body a chunk at a time."""
+        lines = [f"{method} {self._root}{path} HTTP/1.1"]
+        lines += [f"{name}: {value}" for name, value in {**self._headers, **headers}.items()]
+        if data is not None:
+            lines.append(f"Content-Length: {len(data)}")
+        if isinstance(data, FileBody):
+            data.rewind()  # a request sent again sends the file from its start
+            chunks = iter(partial(data.read, UPLOAD_CHUNK), b"")
+        else:
+            data = data or b""
+            chunks = (data[at : at + UPLOAD_CHUNK] for at in range(0, len(data), UPLOAD_CHUNK))
+        self._sock.sendall("\r\n".join([*lines, "", ""]).encode("latin-1") + next(chunks, b""))
+        for chunk in chunks:
+            self._sock.sendall(chunk)
+
     def _request(self, method: str, path: str, *, data=None, headers=None):
         url = f"{self._base}{path}"
-        headers = {**self._headers, **(headers or {})}
         for delay in (*RETRY_BACKOFF, None):
-            # Only a completed exchange puts the connection back, because
-            # close() keeps a half-built request's lines for the next request.
-            connection, self._connection = self._connection or self._connect(), None
-            if _peer_closed(connection):
-                connection.close()  # the request below reconnects, with no retry delay
+            if self._sock is not None and _peer_closed(self._sock):
+                self.close()  # the request below reconnects, with no retry delay
             sent = False
             try:
-                if isinstance(data, FileBody):
-                    data.rewind()  # a request sent again sends the file from its start
+                if self._sock is None:
+                    self._open()
                 try:
-                    connection.request(method, self._root + path, data, headers)
+                    self._send(method, path, data, headers or {})
                     sent = True
                 except (BrokenPipeError, ConnectionResetError) as exc:
                     # The depot may have answered (a 401, say) and closed without
                     # reading the rest of the body: a reply there is the answer.
                     try:
-                        response = connection.getresponse()
-                    except (OSError, http.client.HTTPException):
+                        reply, keep = _read_reply(self._reader)
+                    except (OSError, ValueError):
                         raise exc from None
                 else:
-                    response = connection.getresponse()
-                reply = _Reply(response.status, response.read())
+                    reply, keep = _read_reply(self._reader)
             except OSError as exc:
-                connection.close()
+                self.close()
                 maybe_applied = sent and method == "POST" and isinstance(exc, TimeoutError)
                 if delay is None or maybe_applied:
                     raise TransportError(
@@ -485,13 +559,14 @@ class HttpDepotClient(DepotClient):
                 )
                 time.sleep(delay)
                 continue
-            except (http.client.HTTPException, ValueError) as exc:
-                connection.close()
+            except ValueError as exc:
+                self.close()
                 raise TransportError(f"{method} {url}: {exc}") from exc
             except BaseException:  # such as the IoError of a file that shrank mid-upload
-                connection.close()
+                self.close()
                 raise
-            self._connection = connection
+            if not keep:
+                self.close()
             return self._handle_response(method, path, reply)
         raise AssertionError("unreachable")
 
@@ -530,9 +605,6 @@ class HttpDepotClient(DepotClient):
         elif "body" in fields:
             data = fields["body"]
             headers = {"Content-Type": "application/octet-stream"}
-            if isinstance(data, FileBody):
-                # http.client would otherwise send a file chunked, which the depot does not read
-                headers["Content-Length"] = str(len(data))
             if is_utf8_text(fields["name"]):
                 # Header values are Latin-1, so the name travels percent-encoded UTF-8.
                 headers[FILE_NAME_HEADER] = quote(fields["name"], safe="")

@@ -18,7 +18,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from .client import FILE_NAME_HEADER, ROUTES
+from .client import FILE_NAME_HEADER, ROUTES, content_length
 from .depot import Depot
 from .errors import STATUS_BY_KIND, AuthFailure, BindError, CuratorError, InvalidMeta, NotFound
 
@@ -86,12 +86,10 @@ class _Handler(BaseHTTPRequestHandler):
         # A body of unknown length cannot be drained, so the connection is
         # dropped: the next request would start mid-stream.
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if length < 0:
+            length = content_length(self.headers.get("Content-Length") or "0")
+        except ValueError as exc:
             self.close_connection = True
-            raise InvalidMeta("Content-Length must be a nonnegative integer")
+            raise InvalidMeta(str(exc)) from None
         raw = self.rfile.read(length) if length else b""
         if len(raw) < length:  # the client stopped sending, so the body is not whole
             self.close_connection = True

@@ -1060,3 +1060,27 @@ def test_op_log_json_roundtrip(tmp_path):
         ["create_article", 1, "wave"],
         ["add_tag", 1, "x"],
     ]
+
+
+@pytest.mark.parametrize("length", ["1_2", "+12", "0_12"])
+def test_content_length_of_other_than_ascii_digits_is_422_and_closes(
+    http_server, http_client, length
+):
+    # int() reads each of these as 12, but a proxy in front of the facade
+    # would frame the request differently; the body sent is 12 bytes
+    article_id = http_client.create_article(meta()).article_id
+    host, port = http_server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(
+            f"POST /v1/articles/{article_id}/files HTTP/1.1\r\nHost: depot\r\n"
+            f"Authorization: token {TOKEN}\r\nX-File-Name: a.dat\r\n"
+            f"Content-Length: {length}\r\n\r\n0123456789ab".encode()
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 422 ")
+    assert b"Connection: close" in head
+    assert json.loads(body) == {"error": "InvalidMeta"}
+    assert http_client.get_article(article_id).files == ()
