@@ -2,20 +2,19 @@
 
 A small state machine that implements the full :class:`DepotClient`
 contract so the publication workflow can run with no network at all.
-Every mutation hands the touched article's new record to one state rule,
-:meth:`Depot._apply`, and is appended to an op log for test observability
-and, when a state file is given, as one line to a JSONL log.
-An upload's line is the one file entry it added, so a line's size does not
-grow with the fileset; every other mutation's line is the article's whole
-wire-form record. Replay applies each line with the same rule, so a
-restarted process gets the same state; an upload keeps its file's record,
-never its bytes. A load that replayed many more lines than the depot holds
-live records marks the log, and the process's first write then rewrites it
-as those records alone (:meth:`Depot._compact`) instead of appending, so a
-load's cost follows what the depot holds, not every change ever made. The
-HTTP facade reaches it through :meth:`Depot.handle`,
-which decodes, calls and encodes with the operation table in
-:mod:`curator.client`.
+Every mutation first writes its change, when a state file is given, as one
+line of a JSONL log; a write that fails or falls short is cut back off and
+changes nothing. Then one state rule, :meth:`Depot._apply`, makes the
+article's new record its head, and an op log records the change for test
+observability. An upload's line is the one file entry it added, so a
+line's size does not grow with the fileset; any other line is the
+article's whole wire-form record. Replay applies each line with the same
+rule, so a restarted process gets the same state, never a file's bytes. A
+load that replayed many more lines than the depot holds live records marks
+the log, and the first write then replaces it with those records and its
+own line (:meth:`Depot._compact`), so a load's cost follows what the depot
+holds. The HTTP facade reaches it through :meth:`Depot.handle`, which
+decodes, calls and encodes with the operation table in :mod:`curator.client`.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .client import (
     record_to_wire,
     upload_body,
 )
-from .errors import InvalidMeta, IoError, NotFound, NothingToPublish, ParseError, as_io_error
+from .errors import InvalidMeta, NotFound, NothingToPublish, ParseError, as_io_error
 from .provenance import replace_file
 
 logger = logging.getLogger(__name__)
@@ -177,8 +176,9 @@ def _log_line(change: dict) -> bytes:
 
 def _with_file(head: ArticleRecord, entry: FileEntry) -> ArticleRecord:
     """``head`` with ``entry`` where its same-named file stands, or last for a new name."""
-    files = tuple(entry if held.name == entry.name else held for held in head.files)
-    return replace(head, files=files if entry in files else (*files, entry))
+    files = {held.name: held for held in head.files}
+    files[entry.name] = entry
+    return replace(head, files=tuple(files.values()))
 
 
 class Depot(DepotClient):
@@ -187,9 +187,9 @@ class Depot(DepotClient):
     All operations are serialized behind one lock, so concurrent callers
     observe a single linear history (the op log). Pass ``state_path`` to
     persist the depot across restarts as a log, one line per mutation,
-    replayed through the rule the live operations use (:meth:`_apply`):
-    everything but the op log survives a restart. A load that finds the log
-    mostly superseded leaves it to the first write to compact.
+    written before it applies and replayed through the rule the live
+    operations use (:meth:`_apply`): all but the op log survives a restart.
+    A load that finds the log mostly superseded leaves it to the first write to compact.
     """
 
     def __init__(self, state_path=None):
@@ -226,53 +226,45 @@ class Depot(DepotClient):
         if frozen:
             article.published_versions.append(record)
 
-    def _log(self, op: str, head: ArticleRecord, detail: str) -> None:
-        """Apply ``head`` and persist it; an append that fails undoes both."""
-        article_id = head.article_id
-        before = self.state.articles.get(article_id)
-        if before is not None:
-            before = replace(before, published_versions=list(before.published_versions))
+    def _log(self, op: str, head: ArticleRecord, detail: str, change: dict | None = None) -> None:
+        """Write ``change`` (by default ``head`` whole), then apply ``head``;
+        a write that fails raises before anything changes."""
+        self._save(record_to_wire(head) if change is None else change)
         self._apply(head)
-        self.state.op_log.append((op, article_id, detail))
-        try:
-            self._save()
-        except IoError:
-            self.state.op_log.pop()
-            if before is None:
-                del self.state.articles[article_id]
-            else:
-                self.state.articles[article_id] = before
-            raise
+        self.state.op_log.append((op, head.article_id, detail))
 
-    def _save(self) -> None:
-        """Append the newest op-log entry's change: the file entry an upload
-        added, or the head of the article any other operation touched. The
-        first write after a load that marked the log compacts it instead."""
+    def _save(self, change: dict) -> None:
+        """Append ``change`` as one line, or compact the log with it as its
+        last line at the first write after a load that marked the log. A
+        write that fails or falls short is cut back off before it raises."""
         if self._state_path is None:
             return
+        line = _log_line(change)
         if self._compact_from:
-            self._compact()
+            self._compact(line)
             return
-        op, article_id, detail = self.state.op_log[-1]
-        head = self.state.articles[article_id].head
-        if op == "upload_file":
-            entry = next(entry for entry in head.files if entry.name == detail)
-            change = {"article_id": article_id, "file": file_entry_to_wire(entry)}
-        else:
-            change = record_to_wire(head)
-        with as_io_error("cannot write", self._state_path), open(self._state_path, "ab") as handle:
-            handle.write(_log_line(change))
+        size = None
+        with as_io_error("cannot write", self._state_path):
+            try:
+                # closing flushes; the buffer retries a short write until it raises
+                with open(self._state_path, "ab") as handle:
+                    size = handle.tell()
+                    handle.write(line)
+            except OSError:
+                if size is not None:
+                    os.truncate(self._state_path, size)
+                raise
 
-    def _compact(self) -> None:
+    def _compact(self, line: bytes) -> None:
         """Replace the log with each article's live records, in id order, in
-        the lines the live operations write for them. A failed rewrite
-        leaves the old log, and the next write tries again."""
+        the lines the live operations write for them, then ``line``. A
+        failed rewrite leaves the old log, and the next write tries again."""
         started = time.perf_counter()
         lines = [
             _log_line(record_to_wire(record))
             for _, article in sorted(self.state.articles.items())
             for record in _live_records(article)
-        ]
+        ] + [line]
         data = b"".join(lines)
         replace_file(self._state_path, data)
         logger.info(
@@ -348,10 +340,9 @@ class Depot(DepotClient):
     def create_article(self, meta: ArticleMeta) -> ArticleRecord:
         with self._lock:
             _validate_meta(meta)
-            article_id = self.state.next_article_id
-            self.state.next_article_id += 1
-            head = ArticleRecord(article_id, meta)
+            head = ArticleRecord(self.state.next_article_id, meta)
             self._log("create_article", head, meta.title)
+            self.state.next_article_id += 1
             return head
 
     def upload_bytes(self, article_id: int, name: str, body) -> FileEntry:
@@ -382,8 +373,9 @@ class Depot(DepotClient):
             article = self._get(article_id)
             _validate_file_name(name)
             entry = FileEntry(file_id=self.state.next_file_id, name=name, size=size, md5=md5)
+            change = {"article_id": article_id, "file": file_entry_to_wire(entry)}
+            self._log("upload_file", _with_file(article.head, entry), name, change)
             self.state.next_file_id += 1
-            self._log("upload_file", _with_file(article.head, entry), name)
             return entry
 
     def search_by_tag(self, tag: str) -> list[ArticleRecord]:

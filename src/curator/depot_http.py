@@ -18,11 +18,14 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from .client import FILE_NAME_HEADER, ROUTES, content_length
+from .client import DEFAULT_TIMEOUT, FILE_NAME_HEADER, ROUTES, content_length
 from .depot import Depot
 from .errors import STATUS_BY_KIND, AuthFailure, BindError, CuratorError, InvalidMeta, NotFound
 
 logger = logging.getLogger(__name__)
+
+# A stalled request head, body or reply closes its connection after this long.
+STALL_TIMEOUT = 2 * DEFAULT_TIMEOUT
 
 
 class _Server(ThreadingHTTPServer):
@@ -66,6 +69,7 @@ class _Handler(BaseHTTPRequestHandler):
     # Headers and body leave in two writes; with Nagle's algorithm on, the
     # body waits for the client's delayed ACK, about 40 ms on every call.
     disable_nagle_algorithm = True
+    timeout = STALL_TIMEOUT
 
     server: _Server
 
@@ -83,18 +87,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> bytes:
-        # A body of unknown length cannot be drained, so the connection is
-        # dropped: the next request would start mid-stream.
+        # A body whose end is unknown cannot be drained, so the connection is
+        # dropped, as the next request would start mid-stream: an unreadable length,
+        # one a proxy would frame otherwise, or a short or stalled body.
         try:
-            length = content_length(self.headers.get("Content-Length") or "0")
-        except ValueError as exc:
+            lengths = {value or "0" for value in self.headers.get_all("Content-Length", ["0"])}
+            if len(lengths) > 1 or "Transfer-Encoding" in self.headers:
+                raise ValueError("a transfer coding or Content-Length values that differ")
+            length = content_length(lengths.pop())
+            raw = self.rfile.read(length) if length else b""
+            if len(raw) < length:  # the client stopped sending
+                raise ValueError(f"body ended after {len(raw)} of {length} bytes")
+            return raw
+        except (ValueError, TimeoutError) as exc:
             self.close_connection = True
             raise InvalidMeta(str(exc)) from None
-        raw = self.rfile.read(length) if length else b""
-        if len(raw) < length:  # the client stopped sending, so the body is not whole
-            self.close_connection = True
-            raise InvalidMeta(f"body ended after {len(raw)} of {length} bytes")
-        return raw
 
     def _read_json(self, raw: bytes) -> dict:
         if not raw:
@@ -141,8 +148,9 @@ class _Handler(BaseHTTPRequestHandler):
             if status == 500:  # the depot's own failure, such as an append that failed
                 logger.error("%s %s failed: %s: %s", method, self.path, exc.kind, exc)
             self._send(status, {"error": exc.kind})
-        except ConnectionError:
-            raise  # handle() logs the client gone
+        except (ConnectionError, TimeoutError) as exc:  # http.server logs a timeout at DEBUG
+            self.close_connection = True
+            logger.info("client %s gone: %s", self.address_string(), exc.__class__.__name__)
         except Exception:
             logger.exception("unhandled facade failure on %s %s", method, self.path)
             self._send(500, {"error": "InternalError"})

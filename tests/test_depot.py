@@ -4,6 +4,7 @@ import contextlib
 import copy
 import errno
 import hashlib
+import io
 import json
 import logging
 import os
@@ -13,6 +14,7 @@ import tracemalloc
 
 import pytest
 
+import curator.depot
 from curator.client import ArticleMeta, record_to_wire
 from curator.depot import DOI_PREFIX, Depot
 from curator.errors import (
@@ -991,6 +993,37 @@ def test_failed_append_leaves_the_depot_unchanged(tmp_path, op, published):
     assert (depot.state.articles, depot.state.op_log) == before
 
 
+class HalfThenFull(io.FileIO):
+    """A file whose first write takes half of what it is given, as a disk
+    filling up mid-line would, and whose every later write has no space."""
+
+    def write(self, data):
+        if hasattr(self, "wrote"):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.wrote = True
+        return super().write(bytes(data)[: len(data) // 2])
+
+
+@pytest.mark.parametrize("op", sorted(MUTATIONS))
+def test_a_torn_append_is_cut_off_and_the_next_write_replays(tmp_path, monkeypatch, op):
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
+    article_id = depot.create_article(meta()).article_id
+    depot.upload_bytes(article_id, "a.dat", b"one")
+    before = state.read_bytes()
+
+    def half_then_full(path, mode):
+        return io.BufferedWriter(HalfThenFull(path, mode))
+
+    monkeypatch.setattr(curator.depot, "open", half_then_full, raising=False)
+    with pytest.raises(IoError, match="No space left on device"):
+        MUTATIONS[op](depot, article_id)
+    monkeypatch.undo()
+    assert state.read_bytes() == before
+    depot.add_tag(article_id, "after")
+    assert stored_state(Depot(state_path=state)) == stored_state(depot)
+
+
 # -- compaction --------------------------------------------------------------
 
 
@@ -1067,6 +1100,23 @@ def test_a_marked_log_compacts_at_the_first_write_and_says_so(tmp_path, caplog):
     reloaded = Depot(state_path=state)
     assert reloaded.publish_article(1) == (f"{DOI_PREFIX}.1", 2)
     assert reloaded.upload_bytes(1, "b.dat", b"b").file_id == 71
+
+
+@pytest.mark.parametrize("op", sorted(MUTATIONS))
+def test_every_kind_of_first_write_compacts_a_marked_log(tmp_path, caplog, op):
+    # a draft after 70 uploads of one name, so a publish has a change to publish
+    state = tmp_path / "depot.jsonl"
+    writer = Depot(state_path=state)
+    article_id = writer.create_article(meta(tags=["x"])).article_id
+    for index in range(70):
+        writer.upload_bytes(article_id, "a.dat", str(index).encode())
+    lines_before = line_count(state)
+    with caplog.at_level(logging.INFO, logger="curator.depot"):
+        depot = Depot(state_path=state)
+        MUTATIONS[op](depot, article_id)
+    assert line_count(state) < lines_before
+    assert caplog.messages[-1].startswith(f"compacted {state}: {lines_before} line(s) -> ")
+    assert stored_state(Depot(state_path=state)) == stored_state(depot)
 
 
 def test_a_failed_compaction_changes_nothing_and_the_next_write_retries(tmp_path, monkeypatch):

@@ -885,6 +885,105 @@ def test_unreadable_content_length_is_422_and_closes(http_server, length):
     assert json.loads(body) == {"error": "InvalidMeta"}
 
 
+def _exchange(http_server, request: bytes) -> tuple[bytes, float]:
+    """Send ``request`` on a new connection, then read until the facade
+    closes it: the reply and the seconds it took."""
+    host, port = http_server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        started = time.monotonic()
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply, time.monotonic() - started
+
+
+@pytest.mark.parametrize(
+    "framing",
+    [
+        "Transfer-Encoding: chunked\r\nContent-Length: {n}",
+        "Content-Length: {n}\r\nContent-Length: {more}",
+    ],
+    ids=["chunked-and-length", "two-lengths"],
+)
+def test_a_request_a_proxy_would_frame_otherwise_is_422_and_closes(http_server, framing):
+    body = b'{"title": "t", "kind": "code", "category": "c", "tags": []}'
+    headers = framing.format(n=len(body), more=len(body) + 5)
+    reply, _ = _exchange(
+        http_server,
+        f"POST /v1/articles HTTP/1.1\r\nHost: depot\r\nAuthorization: token {TOKEN}\r\n"
+        f"{headers}\r\n\r\n".encode() + body,
+    )
+    head, _, answer = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 422 ")
+    assert b"Connection: close" in head
+    assert json.loads(answer) == {"error": "InvalidMeta"}
+    assert http_server.depot.state.articles == {}
+
+
+def test_a_stalled_head_or_body_is_closed_quietly(http_server, monkeypatch, capfd):
+    article_id = http_server.depot.create_article(meta()).article_id
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    # a partial head with no token yet, which http.server closes unanswered
+    reply, took = _exchange(http_server, b"POST /v1/articles HTTP/1.1\r\nHost: depot\r\n")
+    assert reply == b""
+    assert took < 2
+    # a whole head, then 3 of its 100 body bytes: answered as a short body
+    reply, took = _exchange(
+        http_server,
+        f"POST /v1/articles/{article_id}/files HTTP/1.1\r\nHost: depot\r\n"
+        f"Authorization: token {TOKEN}\r\nX-File-Name: a.dat\r\n"
+        "Content-Length: 100\r\n\r\nabc".encode(),
+    )
+    head, _, answer = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 422 ")
+    assert b"Connection: close" in head
+    assert json.loads(answer) == {"error": "InvalidMeta"}
+    assert took < 2
+    assert http_server.depot.get_article(article_id).files == ()
+    assert capfd.readouterr().err == ""
+
+
+def test_a_reply_the_client_stops_reading_is_one_info_line(
+    http_server, monkeypatch, caplog, capfd
+):
+    finished = threading.Event()
+    process_request, shutdown_request = _Server.process_request, _Server.shutdown_request
+
+    def accepting(server, request, address):
+        request.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        process_request(server, request, address)
+
+    def finishing(server, request):
+        shutdown_request(server, request)
+        finished.set()
+
+    monkeypatch.setattr(_Server, "process_request", accepting)
+    monkeypatch.setattr(_Server, "shutdown_request", finishing)
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    # about 2 MiB of reply, far more than both ends' socket buffers hold
+    files = tuple(FileEntry(index, f"{index}.dat", 1, "0" * 32) for index in range(1, 20001))
+    http_server.depot.create_article(meta())
+    http_server.depot.state.articles[1].head = replace(
+        http_server.depot.get_article(1), files=files
+    )
+    host, port = http_server.address.rsplit(":", 1)
+    with caplog.at_level(logging.INFO, logger="curator.depot_http"):
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(5)
+            sock.connect((host, int(port)))
+            sock.sendall(
+                f"GET /v1/articles/1 HTTP/1.1\r\nHost: depot\r\n"
+                f"Authorization: token {TOKEN}\r\n\r\n".encode()
+            )
+            assert finished.wait(5)
+    assert capfd.readouterr().err == ""
+    (record,) = caplog.records
+    assert record.levelno == logging.INFO
+    assert record.getMessage() == "client 127.0.0.1 gone: TimeoutError"
+
+
 def test_short_body_is_422_and_records_nothing(http_server, http_client):
     article_id = http_client.create_article(meta()).article_id
     host, port = http_server.address.rsplit(":", 1)
