@@ -39,7 +39,7 @@ RETRY_BACKOFF = (0.5, 1.0, 2.0)
 FILE_NAME_HEADER = "X-File-Name"
 # Bytes per read of a file being uploaded, and per socket write of its body.
 UPLOAD_CHUNK = 1 << 20
-# The caps http.client puts on a reply's head: bytes in a line, and header lines.
+# The caps http.client puts on a head: bytes in a line, and header lines.
 MAX_LINE, MAX_HEADERS = 65536, 100
 
 
@@ -408,31 +408,40 @@ def _peer_closed(sock: socket.socket) -> bool:
     return bool(poller.poll(0))
 
 
-def _read_line(reader) -> bytes:
+def _read_line(reader, status: int = 431) -> bytes:
     line = reader.readline(MAX_LINE + 1)
     if len(line) > MAX_LINE:
-        raise ValueError(f"a reply line is longer than {MAX_LINE} bytes")
+        raise ValueError(f"a line is longer than {MAX_LINE} bytes", status)
     return line
+
+
+def read_head(reader) -> tuple[bytes, dict[str, str]]:
+    """A request's or reply's first line (b"" at end of input) and fields by lower-case
+    name, a repeated field's values joined by ", ". A head past the caps, or with a field
+    line a proxy could read as another field or as none (RFC 9112 section 5), raises
+    ValueError(message, the status a server answers it with: 400, 414 or 431)."""
+    start, headers = _read_line(reader, 414), {}
+    for _ in range(MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n", b""):
+            return start, headers
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not (colon and name and name == name.strip()) or "\r" in value.rstrip("\n")[:-1]:
+            raise ValueError(f"a malformed header line {line[:64]!r}", 400)
+        name, value = name.lower(), value.strip(" \t\r\n")
+        headers[name] = f"{headers[name]}, {value}" if name in headers else value
+    raise ValueError(f"more than {MAX_HEADERS} header lines", 431)
 
 
 def _read_reply(reader) -> tuple[_Reply, bool]:
     """One reply, and whether its connection can carry another; a reply
     without a Content-Length runs until the depot closes the connection."""
-    line = _read_line(reader)
+    line, headers = read_head(reader)
     if not line:
         raise ConnectionResetError("the depot closed the connection without a reply")
     status = re.fullmatch(rb"HTTP/1\.([01]) (\d{3})(?: .*)?\r?\n", line)
     if status is None:
         raise ValueError(f"not an HTTP/1.x status line: {line[:64]!r}")
-    headers = {}
-    for _ in range(MAX_HEADERS + 1):
-        line = _read_line(reader)
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip(" \t\r\n")
-    else:
-        raise ValueError(f"a reply has more than {MAX_HEADERS} header lines")
     if "transfer-encoding" in headers:
         raise ValueError(f"a reply in transfer coding {headers['transfer-encoding']!r}")
     if "content-length" not in headers:
@@ -561,7 +570,7 @@ class HttpDepotClient(DepotClient):
                 continue
             except ValueError as exc:
                 self.close()
-                raise TransportError(f"{method} {url}: {exc}") from exc
+                raise TransportError(f"{method} {url}: {exc.args[0]}") from exc
             except BaseException:  # such as the IoError of a file that shrank mid-upload
                 self.close()
                 raise

@@ -1,24 +1,31 @@
 """HTTP facade for the in-process depot.
 
-Matches each request against :data:`curator.client.ROUTES`, gathers the
-route's parameters from the path, query, body and headers, and hands them
-to :meth:`curator.depot.Depot.handle`, so the facade adds transport and
-auth but no semantics of its own. Error bodies are always
-``{"error": <kind>}`` with the status from
+The facade frames HTTP/1.1 itself: a thread per connection reads each request
+head with :func:`curator.client.read_head`, under its caps (64 KiB a line, 100
+header lines) and within STALL_TIMEOUT of the head's first byte, and sends each
+reply in one write. A request it cannot frame gets the status http.server gave
+it (400, 414, 431, 501 or 505) and a close. The others are matched against
+:data:`curator.client.ROUTES` and handed to :meth:`curator.depot.Depot.handle`,
+so the facade adds transport and auth but no semantics of its own. Error bodies
+are always ``{"error": <kind>}`` with the status from
 :data:`curator.errors.STATUS_BY_KIND`.
 """
 
 from __future__ import annotations
 
 import hmac
+import io
 import json
 import logging
+import re
 import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http import HTTPStatus
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from .client import DEFAULT_TIMEOUT, FILE_NAME_HEADER, ROUTES, content_length
+from .client import DEFAULT_TIMEOUT, FILE_NAME_HEADER, ROUTES, content_length, read_head
 from .depot import Depot
 from .errors import STATUS_BY_KIND, AuthFailure, BindError, CuratorError, InvalidMeta, NotFound
 
@@ -26,9 +33,11 @@ logger = logging.getLogger(__name__)
 
 # A stalled request head, body or reply closes its connection after this long.
 STALL_TIMEOUT = 2 * DEFAULT_TIMEOUT
+REQUEST_LINE = re.compile(rb"(\S+) (\S+) HTTP/(\d\.\d)\r?\n")
+REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
-class _Server(ThreadingHTTPServer):
+class _Server(socketserver.ThreadingTCPServer):
     """Tracks the connections it has accepted, so that closing the server
     ends them too: a kept-alive one would go on serving its depot."""
 
@@ -63,38 +72,99 @@ class _Server(ThreadingHTTPServer):
                     pass
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "curator-depot"
-    # Headers and body leave in two writes; with Nagle's algorithm on, the
-    # body waits for the client's delayed ACK, about 40 ms on every call.
-    disable_nagle_algorithm = True
+class _Receiver(socket.SocketIO):
+    """A connection's raw reader; while ``deadline`` is set, no receive waits past it."""
+
+    deadline: float | None = None
+
+    def readinto(self, buffer) -> int:
+        if self.deadline is None:
+            return super().readinto(buffer)
+        timeout, left = self._sock.gettimeout(), self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("the request head is late")
+        self._sock.settimeout(left)
+        try:
+            return super().readinto(buffer)
+        finally:
+            self._sock.settimeout(timeout)
+
+
+class _Handler(socketserver.StreamRequestHandler):
     timeout = STALL_TIMEOUT
+    # A reply must not wait for the client's delayed ACK (Nagle's algorithm).
+    disable_nagle_algorithm = True
+    rbufsize = 0  # the rfile that setup() replaces is then a bare SocketIO
+    close_connection = False
 
     server: _Server
 
-    def log_message(self, format, *args):
-        logger.debug("%s - %s", self.address_string(), format % args)
+    def setup(self):
+        super().setup()
+        self.rfile = io.BufferedReader(_Receiver(self.connection, "rb"))
+
+    def handle(self):
+        try:
+            while not self.close_connection and self._read_request():
+                self._dispatch(self.command)
+        except (ConnectionError, TimeoutError) as exc:
+            # The client reset, hung up or stopped reading: there is no one to answer.
+            logger.info("client %s gone: %s", self.client_address[0], exc.__class__.__name__)
+
+    def _read_request(self) -> bool:
+        """Read the next request head; False, to end the connection, when there is none
+        to serve: the client closed or idled, was too slow, or is refused here."""
+        receiver, self.command, self.path = self.rfile.raw, "-", "-"
+        try:
+            if not self.rfile.peek(1):
+                return False
+            receiver.deadline = time.monotonic() + self.timeout
+            line, self.headers = read_head(self.rfile)  # 400, 414 or 431
+            receiver.deadline = None
+            request = REQUEST_LINE.fullmatch(line)
+            if request is None:
+                raise ValueError("a malformed request line", 400)
+            self.command, self.path, self.version = (p.decode("latin-1") for p in request.groups())
+            if self.version >= "2":
+                raise ValueError("an HTTP version above 1.1", 505)
+            if self.command not in ("GET", "POST"):
+                raise ValueError("a method other than GET or POST", 501)
+        except TimeoutError:
+            return False
+        except ValueError as exc:
+            self.close_connection = True
+            self._send(exc.args[1], {"error": "TransportError"})
+            return False
+        # HTTP/1.1 keeps the connection unless told to close it, HTTP/1.0 only if told to keep it.
+        connection = self.headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            self.version < "1.1" and connection != "keep-alive"
+        )
+        return True
 
     def _send(self, status: int, payload) -> None:
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        close = "Connection: close\r\n" if self.close_connection else ""
+        head = (
+            f"HTTP/1.1 {status} {REASONS[status]}\r\nServer: curator-depot\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n{close}\r\n"
+        )
+        self.connection.sendall(head.encode("latin-1") + body)
+        logger.debug('%s - "%s %s" %d', self.client_address[0], self.command, self.path, status)
 
-    def _read_body(self) -> bytes:
-        # A body whose end is unknown cannot be drained, so the connection is
-        # dropped, as the next request would start mid-stream: an unreadable length,
-        # one a proxy would frame otherwise, or a short or stalled body.
+    def _read_body(self, method: str) -> bytes:
+        # A body whose end is unknown cannot be drained, so the connection is dropped, as
+        # the next request would start mid-stream: an unreadable length, one a proxy would
+        # frame otherwise, a GET's body, or a short or stalled body.
         try:
-            lengths = {value or "0" for value in self.headers.get_all("Content-Length", ["0"])}
-            if len(lengths) > 1 or "Transfer-Encoding" in self.headers:
-                raise ValueError("a transfer coding or Content-Length values that differ")
-            length = content_length(lengths.pop())
+            if "transfer-encoding" in self.headers:
+                raise ValueError("a request in transfer coding")
+            length = content_length(self.headers.get("content-length") or "0")
+            if length and method == "GET":
+                raise ValueError("a GET with a body")
+            expect = self.headers.get("expect", "").lower()
+            if length and expect == "100-continue" and self.version >= "1.1":
+                self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
             raw = self.rfile.read(length) if length else b""
             if len(raw) < length:  # the client stopped sending
                 raise ValueError(f"body ended after {len(raw)} of {length} bytes")
@@ -115,7 +185,7 @@ class _Handler(BaseHTTPRequestHandler):
         return payload
 
     def _file_name(self) -> str | None:
-        name = self.headers.get(FILE_NAME_HEADER)
+        name = self.headers.get(FILE_NAME_HEADER.lower())
         try:
             return None if name is None else unquote(name, errors="strict")
         except UnicodeDecodeError:
@@ -123,34 +193,25 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _authorized(self) -> bool:
         # Bytes, because compare_digest raises TypeError on non-ASCII str.
-        given = (self.headers.get("Authorization") or "").encode("utf-8")
+        given = self.headers.get("authorization", "").encode("utf-8")
         return hmac.compare_digest(given, f"token {self.server.token}".encode("utf-8"))
-
-    def handle(self):
-        try:
-            super().handle()
-        except ConnectionError as exc:
-            # The client reset or hung up mid-exchange, so there is no one to answer.
-            logger.info("client %s gone: %s", self.address_string(), exc.__class__.__name__)
 
     def _dispatch(self, method: str) -> None:
         try:
             if not self._authorized():
-                # Answered before the body is read, so a client without the
-                # token cannot make the depot wait for or hold its body; the
-                # body is not drained either, so the connection ends.
-                if method == "POST":
-                    self.close_connection = True
+                # Answered before any body is read, so a client without the token cannot make
+                # the depot wait for or hold a body; one left unread ends the connection.
+                length = self.headers.get("content-length", "0")
+                self.close_connection |= "transfer-encoding" in self.headers or length != "0"
                 raise AuthFailure("missing or wrong token")
-            self._route(method, self._read_body() if method == "POST" else b"")
+            self._route(method, self._read_body(method))
         except CuratorError as exc:
             status = STATUS_BY_KIND.get(type(exc), 500)
             if status == 500:  # the depot's own failure, such as an append that failed
                 logger.error("%s %s failed: %s: %s", method, self.path, exc.kind, exc)
             self._send(status, {"error": exc.kind})
-        except (ConnectionError, TimeoutError) as exc:  # http.server logs a timeout at DEBUG
-            self.close_connection = True
-            logger.info("client %s gone: %s", self.address_string(), exc.__class__.__name__)
+        except (ConnectionError, TimeoutError):
+            raise  # handle() logs it and ends the connection
         except Exception:
             logger.exception("unhandled facade failure on %s %s", method, self.path)
             self._send(500, {"error": "InternalError"})
@@ -174,12 +235,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(route.status, self.server.depot.handle(op, params))
             return
         raise NotFound(f"no route for {method} {split.path}")
-
-    def do_GET(self):
-        self._dispatch("GET")
-
-    def do_POST(self):
-        self._dispatch("POST")
 
 
 def _split_bind(bind_address: str) -> tuple[str, int]:

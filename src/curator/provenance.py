@@ -26,7 +26,6 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from xml.etree import ElementTree
 from xml.parsers import expat
-from xml.sax.saxutils import escape
 
 from .errors import ParseError, SchemaError, as_io_error
 
@@ -158,8 +157,13 @@ def read_publish_options(project_path) -> PublishOptions:
     return options
 
 
+def _escape(value: str) -> str:  # as the text of a double-quoted XML attribute
+    value = value.replace("&", "&amp;").replace("<", "&lt;")
+    return value.replace(">", "&gt;").replace('"', "&quot;")
+
+
 def _set_attr(attrs: str, name: str, value: str) -> str:
-    quoted = '"' + escape(value, {'"': "&quot;"}) + '"'
+    quoted = f'"{_escape(value)}"'
     for match in _ATTR_RE.finditer(attrs):
         if match.group(1) == name:
             return attrs[: match.start(2)] + quoted + attrs[match.end(2) :]
@@ -252,7 +256,7 @@ def expand_patterns(patterns, base_dir) -> list[Path]:
 
 
 def _upsert_constant(text: str, name: str, value: str, path) -> str:
-    element = f'<constant name="{name}" type="string" value="{escape(value, {chr(34): "&quot;"})}"/>'
+    element = f'<constant name="{name}" type="string" value="{_escape(value)}"/>'
     named = re.compile(rf'\sname="{re.escape(name)}"')
     last = None
     for match in CONSTANT_RE.finditer(text):

@@ -411,3 +411,15 @@ def test_cli_and_facade_do_not_import_requests():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_and_facade_load_neither_http_server_nor_email():
+    # the facade frames HTTP itself, and the provenance writer escapes attributes itself
+    code = (
+        "import sys, curator.cli, curator.depot_http; "
+        "print(sorted({'http.server', 'email', 'urllib.request', 'http.client'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -105,6 +105,18 @@ def test_a_reply_the_client_cannot_frame_fails_at_once(raw, reply):
     assert (len(accepted), delays, thread.is_alive()) == (2, [], False)
 
 
+def test_a_reply_with_a_folded_header_line_fails_at_once(raw):
+    # read_head refuses it for both ends, as a server must refuse it in a request
+    listener, client, delays = raw
+    folded = GOOD.replace(b"\r\n\r\n", b"\r\n X-Folded: 1\r\n\r\n", 1)
+    thread, accepted = serve(listener, folded, GOOD)
+    with pytest.raises(TransportError):
+        client.get_article(1)
+    assert client.get_article(1) == RECORD
+    thread.join(5)
+    assert (len(accepted), delays, thread.is_alive()) == (2, [], False)
+
+
 def test_the_caps_on_a_reply_head_are_http_clients(raw):
     # the longest line and the most header lines a reply may have are read
     listener, client, delays = raw

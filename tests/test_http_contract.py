@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import array
+import contextlib
 import hashlib
 import http.client
 import json
 import logging
 import os
+import re
 import select
 import socket
 import statistics
@@ -921,6 +923,138 @@ def test_a_request_a_proxy_would_frame_otherwise_is_422_and_closes(http_server, 
     assert http_server.depot.state.articles == {}
 
 
+def test_a_content_length_given_twice_is_422_and_closes_even_when_the_values_agree(http_server):
+    # the facade reads one field given twice as one value, "n, n", which is no length
+    test_a_request_a_proxy_would_frame_otherwise_is_422_and_closes(
+        http_server, "Content-Length: {n}\r\nContent-Length: {n}"
+    )
+
+
+def _read_reply(sock) -> tuple[bytes, bytes]:
+    """Read one reply with a Content-Length from ``sock``: its head and body."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        head += sock.recv(1)
+    length = int(re.search(rb"\r\nContent-Length: (\d+)\r\n", head)[1])
+    return head, sock.recv(length, socket.MSG_WAITALL)
+
+
+# What a client saw of http.server, which the facade keeps. Each request
+# below is sent whole and read in full, so no unread byte turns the close into
+# a reset.
+
+
+@pytest.mark.parametrize(
+    "request_head, status",
+    [
+        (b"GET /v1/articles/1 extra HTTP/1.1\r\nHost: depot\r\n\r\n", 400),
+        (b"GET /" + b"a" * (65537 - 5), 414),  # a request line of 64 KiB + 1
+        (b"GET /v1/articles/1 HTTP/1.1\r\nX-Long: " + b"a" * (65537 - 8), 431),
+        (b"GET /v1/articles/1 HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101, 431),
+        (b"PUT /v1/articles HTTP/1.1\r\nHost: depot\r\n\r\n", 501),
+    ],
+    ids=["malformed-request-line", "long-request-line", "long-header-line", "101-headers", "put"],
+)
+def test_a_request_the_facade_cannot_serve_is_refused_and_closed(http_server, request_head, status):
+    reply, took = _exchange(http_server, request_head)
+    head = reply.partition(b"\r\n\r\n")[0] + b"\r\n"
+    assert head.startswith(f"HTTP/1.1 {status} ".encode())
+    assert b"\r\nConnection: close\r\n" in head
+    assert took < 2
+
+
+def test_an_http_version_above_1_1_is_505_and_closes(http_server):
+    # http.server wrote this one without a status line, as if to HTTP/0.9
+    reply, took = _exchange(http_server, b"GET /v1/articles/1 HTTP/2.0\r\nHost: depot\r\n\r\n")
+    assert b"505" in reply
+    assert took < 2
+
+
+def test_http_1_0_closes_unless_asked_to_keep_alive(http_server):
+    request = f"GET /v1/articles/search?tag=t HTTP/1.0\r\nAuthorization: token {TOKEN}\r\n"
+    reply, _ = _exchange(http_server, f"{request}\r\n".encode())
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert b"\r\nConnection: close" in head
+    assert json.loads(body) == {"items": []}
+    host, port = http_server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        for _ in range(2):  # the connection carries a second request
+            sock.sendall(f"{request}Connection: keep-alive\r\n\r\n".encode())
+            head, body = _read_reply(sock)
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert b"\r\nServer: curator-depot" in head
+            assert json.loads(body) == {"items": []}
+
+
+def test_expect_100_continue_with_the_token_is_answered_before_the_body(http_server):
+    body = b'{"title": "t", "kind": "code", "category": "c", "tags": []}'
+    host, port = http_server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(
+            b"POST /v1/articles HTTP/1.1\r\nHost: depot\r\nExpect: 100-continue\r\n"
+            + f"Authorization: token {TOKEN}\r\nContent-Length: {len(body)}\r\n\r\n".encode()
+        )
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            interim += sock.recv(1)
+        assert interim.startswith(b"HTTP/1.1 100 ")
+        sock.sendall(body)
+        head, answer = _read_reply(sock)
+    assert head.startswith(b"HTTP/1.1 201 ")
+    assert json.loads(answer) == {"article_id": 1}
+
+
+def test_requests_sent_in_one_write_are_answered_in_order(http_server):
+    http_server.depot.create_article(meta(title="first"))
+    get = f"GET /v1/articles/{{}} HTTP/1.1\r\nAuthorization: token {TOKEN}\r\n\r\n"
+    host, port = http_server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall((get.format(1) + get.format(2)).encode())
+        first, second = _read_reply(sock), _read_reply(sock)
+    assert json.loads(first[1])["title"] == "first"
+    assert second[0].startswith(b"HTTP/1.1 404 ")
+
+
+# Where the facade is stricter than http.server was.
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        b"Content-Length : 2",
+        b"X-Pad: 1\r\n Content-Length: 2",
+        b"X-Pad: 1\rContent-Length: 2",
+        b"Content-Length 2",
+        b": 2",
+    ],
+    ids=["space-before-colon", "folded", "bare-cr", "no-colon", "no-name"],
+)
+def test_a_malformed_header_line_is_400_and_closes(http_server, field):
+    # a proxy in front could read such a line as another field, or as none
+    reply, took = _exchange(
+        http_server,
+        f"POST /v1/articles HTTP/1.1\r\nAuthorization: token {TOKEN}\r\n".encode()
+        + field
+        + b"\r\n\r\n",
+    )
+    head = reply.partition(b"\r\n\r\n")[0] + b"\r\n"
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close\r\n" in head
+    assert took < 2
+    assert http_server.depot.state.articles == {}
+
+
+def test_expect_100_continue_without_the_token_is_answered_401_at_once(http_server):
+    reply, _ = _exchange(
+        http_server,
+        b"POST /v1/articles HTTP/1.1\r\nHost: depot\r\nExpect: 100-continue\r\n"
+        b"Authorization: token nope\r\nContent-Length: 60\r\n\r\n",
+    )
+    assert reply.startswith(b"HTTP/1.1 401 ")
+    assert b"Connection: close" in reply.partition(b"\r\n\r\n")[0]
+
+
 def test_a_stalled_head_or_body_is_closed_quietly(http_server, monkeypatch, capfd):
     article_id = http_server.depot.create_article(meta()).article_id
     monkeypatch.setattr(_Handler, "timeout", 0.5)
@@ -942,6 +1076,45 @@ def test_a_stalled_head_or_body_is_closed_quietly(http_server, monkeypatch, capf
     assert took < 2
     assert http_server.depot.get_article(article_id).files == ()
     assert capfd.readouterr().err == ""
+
+
+def test_a_head_sent_a_byte_at_a_time_is_closed_unanswered(http_server, monkeypatch):
+    # each byte comes well within the timeout, but the whole head does not
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    head = f"GET /v1/articles/1 HTTP/1.1\r\nAuthorization: token {TOKEN}\r\n\r\n".encode()
+    host, port = http_server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        started, reply = time.monotonic(), None
+        for byte in head:
+            with contextlib.suppress(ConnectionError):
+                sock.sendall(bytes([byte]))
+            if select.select([sock], [], [], 0.2)[0] or time.monotonic() - started > 3:
+                break
+        with contextlib.suppress(ConnectionError):
+            reply = sock.recv(4096)
+        took = time.monotonic() - started
+    assert reply in (b"", None)
+    assert took < 2
+
+
+def test_a_get_with_a_body_is_422_and_closes(http_server):
+    # The body is itself a whole request: left on the connection, it would be
+    # served as the next one, which a proxy in front never saw.
+    article_id = http_server.depot.create_article(meta()).article_id
+    smuggled = b"GET /v1/articles/1 HTTP/1.1\r\nConnection: close\r\nX-Pad: %s\r\n\r\n"
+    smuggled %= b"p" * (64 - len(smuggled % b""))
+    assert len(smuggled) == 64
+    reply, took = _exchange(
+        http_server,
+        f"GET /v1/articles/{article_id} HTTP/1.1\r\nHost: depot\r\n"
+        f"Authorization: token {TOKEN}\r\nContent-Length: 64\r\n\r\n".encode() + smuggled,
+    )
+    assert reply.count(b"HTTP/1.1 ") == 1
+    head, _, answer = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 422 ")
+    assert b"Connection: close" in head
+    assert json.loads(answer) == {"error": "InvalidMeta"}
+    assert took < 2
 
 
 def test_a_reply_the_client_stops_reading_is_one_info_line(

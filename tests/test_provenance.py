@@ -336,6 +336,18 @@ def test_write_ids_result_still_parses(tmp_path):
     assert path.read_bytes() == snapshot
 
 
+@pytest.mark.parametrize(
+    "value",
+    ['a&b<c>d"e', "&amp;&lt;&gt;&quot;", '"<>&"', "<![CDATA[x]]>", "it's 'q'", "plain", ""],
+)
+def test_attribute_escape_is_what_saxutils_gave(value):
+    from xml.sax.saxutils import escape
+
+    assert provenance._escape(value) == escape(value, {'"': "&quot;"})
+    element = ElementTree.fromstring(f'<constant value="{provenance._escape(value)}"/>')
+    assert element.get("value") == value
+
+
 # -- pattern expansion ---------------------------------------------------
 
 
