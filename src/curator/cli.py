@@ -22,7 +22,6 @@ from pathlib import Path
 from .client import HttpDepotClient
 from .config import DEFAULT_CATEGORY, load_config, resolve_config_path
 from .depot import Depot
-from .depot_http import DepotHttpServer
 from .errors import (
     CuratorError, IoError, MissingProvenance, ParseError, SchemaError, UnknownRef, as_io_error,
 )
@@ -228,6 +227,8 @@ def _cmd_serve_depot(args) -> int:
         raise ParseError(
             "serve-depot needs an auth token: pass --token or configure [depot] token"
         )
+    from .depot_http import DepotHttpServer  # only this verb serves
+
     depot = Depot(state_path=args.state)
     server = DepotHttpServer(args.bind, depot, token)
     print(f"depot listening on http://{server.address}")

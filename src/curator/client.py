@@ -18,7 +18,6 @@ import os
 import re
 import select
 import socket
-import ssl
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -510,12 +509,13 @@ class HttpDepotClient(DepotClient):
         self.close()
 
     def _open(self) -> None:
-        context = ssl.create_default_context() if self._tls else None
         sock = socket.create_connection(self._address, self._timeout)
         # a body's last write must not wait for the depot's ACK (Nagle's algorithm)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if context is not None:
-            sock = context.wrap_socket(sock, server_hostname=self._address[0])
+        if self._tls:
+            import ssl  # only an https depot needs it
+
+            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=self._address[0])
         self._sock, self._reader = sock, sock.makefile("rb")
 
     def _send(self, method: str, path: str, data, headers) -> None:

@@ -69,17 +69,16 @@ COMPACT_FLOOR = 64
 class StoredArticle:
     """Server-side state for one article: records, never file bytes.
 
-    ``head`` is replaced by each change, and ``doi`` is its DOI. ``dirty``
-    tracks whether changes are pending since the last publish.
-    ``published_versions`` holds, per published version, the record
-    ``get_article`` returned right after that publish: the head of that
-    moment, which no later change can alter, since records are frozen.
+    ``head`` is replaced by each change, and ``dirty`` tracks whether
+    changes are pending since the last publish. ``published_versions``
+    holds, per published version, the record ``get_article`` returned right
+    after that publish: the head of that moment, which no later change can
+    alter, since records are frozen.
     Only :meth:`Depot._apply` sets ``dirty`` and grows ``published_versions``.
     """
 
     head: ArticleRecord
     published_versions: list[ArticleRecord] = field(default_factory=list)
-    doi: str | None = None
     dirty: bool = True
 
 
@@ -221,7 +220,6 @@ class Depot(DepotClient):
         if article is None:
             article = self.state.articles[record.article_id] = StoredArticle(record)
         article.head = record
-        article.doi = record.doi
         article.dirty = not frozen
         if frozen:
             article.published_versions.append(record)

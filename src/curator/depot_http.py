@@ -1,9 +1,10 @@
 """HTTP facade for the in-process depot.
 
-The facade frames HTTP/1.1 itself: a thread per connection reads each request
-head with :func:`curator.client.read_head`, under its caps (64 KiB a line, 100
-header lines) and within STALL_TIMEOUT of the head's first byte, and sends each
-reply in one write. A request it cannot frame gets the status http.server gave
+The facade frames HTTP/1.1 itself: a thread per connection, for at most
+MAX_CONNECTIONS at once, reads each request head with
+:func:`curator.client.read_head`, under its caps (64 KiB a line, 100 header
+lines) and within STALL_TIMEOUT of the head's first byte, and sends each reply
+in one write. A request it cannot frame gets the status http.server gave
 it (400, 414, 431, 501 or 505) and a close. The others are matched against
 :data:`curator.client.ROUTES` and handed to :meth:`curator.depot.Depot.handle`,
 so the facade adds transport and auth but no semantics of its own. Error bodies
@@ -33,13 +34,18 @@ logger = logging.getLogger(__name__)
 
 # A stalled request head, body or reply closes its connection after this long.
 STALL_TIMEOUT = 2 * DEFAULT_TIMEOUT
+# A connection holds a thread for up to STALL_TIMEOUT though its client sends nothing and
+# shows no token, so only this many are served at once. A stage keeps one, and the client
+# retries a connection closed past the cap on its backoff schedule.
+MAX_CONNECTIONS = 64
 REQUEST_LINE = re.compile(rb"(\S+) (\S+) HTTP/(\d\.\d)\r?\n")
 REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 class _Server(socketserver.ThreadingTCPServer):
     """Tracks the connections it has accepted, so that closing the server
-    ends them too: a kept-alive one would go on serving its depot."""
+    ends them too (a kept-alive one would go on serving its depot), and so
+    that it serves at most MAX_CONNECTIONS at once."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -53,8 +59,16 @@ class _Server(socketserver.ThreadingTCPServer):
 
     def process_request(self, request, client_address):
         with self._connections_lock:
-            self._connections.add(request)
-        super().process_request(request, client_address)
+            full = len(self._connections) >= MAX_CONNECTIONS
+            if not full:
+                self._connections.add(request)
+        if full:  # closed at once, so the accept loop never waits for a slot
+            logger.warning(
+                "connection from %s closed unanswered: %d open", client_address[0], MAX_CONNECTIONS
+            )
+            self.shutdown_request(request)
+        else:
+            super().process_request(request, client_address)
 
     def shutdown_request(self, request):
         with self._connections_lock:

@@ -24,10 +24,12 @@ from conftest import (
 
 import curator.cli as cli
 from curator.cli import run, resolve_software_version
+from curator.client import ArticleMeta, HttpDepotClient
 from curator.depot import Depot
+from curator.depot_http import DepotHttpServer
 from curator.errors import ParseError, TransportError, UnknownRef
 from curator.gitrepo import export_archive
-from curator.provenance import read_publish_options
+from curator.provenance import read_publish_options, write_publication_ids
 
 
 @pytest.fixture(autouse=True)
@@ -196,6 +198,28 @@ def test_output_stage_requires_earlier_stages(tmp_path, capsys):
     assert "software" in error
 
 
+def test_output_stage_requires_the_input_doi(tmp_path, capsys):
+    sim = make_sim_dir(tmp_path / "sim")
+    run_simulation(sim)
+    write_publication_ids(sim / "top_hat.xml", "software", 1, "10.5072/mockdepot.1")
+    assert run(["publish-output", *mock_args(sim / "top_hat.xml")]) == 1
+    assert read_error(capsys) == "error: MissingProvenance: input data DOI not yet recorded\n"
+
+
+def test_output_stage_requires_a_revision_tag_on_the_software(tmp_path, capsys):
+    sim = make_sim_dir(tmp_path / "sim")
+    project = sim / "top_hat.xml"
+    run_simulation(sim)
+    depot = Depot(state_path=sim / ".curator-depot.jsonl")
+    article_id = depot.create_article(ArticleMeta(title="t", kind="code", category="c")).article_id
+    write_publication_ids(project, "software", article_id, "10.5072/mockdepot.1")
+    write_publication_ids(project, "input", 2, "10.5072/mockdepot.2")
+    assert run(["publish-output", *mock_args(project)]) == 1
+    assert read_error(capsys) == (
+        f"error: MissingProvenance: software article {article_id} carries no revision tag\n"
+    )
+
+
 def test_unknown_recorded_article_id(tmp_path, capsys):
     sim = make_sim_dir(tmp_path / "sim")
     project = sim / "top_hat.xml"
@@ -267,6 +291,53 @@ def test_serve_depot_bad_port(capsys):
 def test_serve_depot_needs_token(tmp_path, capsys):
     assert run(["serve-depot", "--bind", "127.0.0.1:0"]) == 1
     assert read_error(capsys).startswith("error: ParseError:")
+
+
+def serve_once(monkeypatch, argv, token):
+    """Run serve-depot until it has answered one call made with ``token``;
+    return what it printed and the depot address it served on."""
+    served = []
+
+    def serve_until_interrupt(server):
+        server.start()
+        try:
+            with HttpDepotClient(client_config(server.base_url, token)) as client:
+                client.create_article(ArticleMeta(title="t", kind="code", category="c"))
+            served.append(server.address)
+        finally:
+            server.stop()
+
+    monkeypatch.setattr(DepotHttpServer, "serve_until_interrupt", serve_until_interrupt)
+    assert run(["serve-depot", *argv]) == 0
+    return served[0]
+
+
+def test_serve_depot_takes_the_configured_token(tmp_path, capsys, monkeypatch):
+    config = write_http_config(tmp_path / "cfg", "http://127.0.0.1:9", token="from-config")
+    address = serve_once(monkeypatch, ["-c", str(config), "--bind", "127.0.0.1:0"], "from-config")
+    assert capsys.readouterr().out == f"depot listening on http://{address}\n"
+
+
+def test_serve_depot_binds_a_bare_port_to_loopback(capsys, monkeypatch):
+    address = serve_once(monkeypatch, ["--token", "t", "--bind", "0"], "t")
+    assert address.startswith("127.0.0.1:")
+    assert capsys.readouterr().out == f"depot listening on http://{address}\n"
+
+
+def test_http_backend_needs_a_depot_section(tmp_path, capsys):
+    sim = make_sim_dir(tmp_path / "sim")
+    config = tmp_path / "cfg"
+    config.write_text("[general]\ndefault_category = Oceanography\n")
+    assert run(["publish-input", "-p", str(sim / "top_hat.xml"), "-c", str(config)]) == 1
+    assert read_error(capsys) == f"error: ParseError: {config}: missing [depot] section\n"
+
+
+def test_patterns_that_match_no_file_are_an_io_error(tmp_path, capsys):
+    project = write_project(tmp_path / "top_hat.xml", input_patterns="*.msh")
+    assert run(["publish-input", *mock_args(project)]) == 1
+    assert read_error(capsys) == (
+        f"error: IoError: no files in {tmp_path} match the input patterns *.msh\n"
+    )
 
 
 @pytest.mark.parametrize("line", [b"not json", b'{"article_id": 1}', b"\xff\xfe"])
@@ -414,6 +485,16 @@ def test_state_flag_overrides_default_location(tmp_path, capsys):
     capsys.readouterr()
     assert state.is_file()
     assert not (sim / ".curator-depot.jsonl").exists()
+
+
+def test_mock_backend_takes_the_configured_category(tmp_path, capsys):
+    sim = make_sim_dir(tmp_path / "sim")
+    config = tmp_path / "cfg"
+    config.write_text("[general]\ndefault_category = Oceanography\n")
+    assert run(["publish-input", *mock_args(sim / "top_hat.xml"), "-c", str(config)]) == 0
+    capsys.readouterr()
+    depot = Depot(state_path=sim / ".curator-depot.jsonl")
+    assert depot.get_article(1).meta.category == "Oceanography"
 
 
 def test_software_name_flag(tmp_path, capsys):

@@ -423,3 +423,25 @@ def test_cli_and_facade_load_neither_http_server_nor_email():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [
+        ("curator.cli", {"curator.depot_http", "socketserver", "ssl"}),
+        (
+            "curator.depot",
+            {"curator.cli", "curator.gitrepo", "curator.publish", "curator.depot_http", "ssl"},
+        ),
+    ],
+)
+def test_a_module_loads_only_what_it_runs(module, unloaded):
+    # only serve-depot imports the facade, and only an https depot imports ssl
+    code = (
+        f"import sys; bare = set(sys.modules); import {module}; "
+        f"print(sorted({unloaded!r} & (set(sys.modules) - bare)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

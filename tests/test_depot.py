@@ -426,7 +426,7 @@ def test_published_versions_survive_restart_unchanged(tmp_path):
 
     reloaded = Depot(state_path=state).state.articles[article_id]
     assert reloaded.published_versions == stored.published_versions
-    assert (reloaded.doi, reloaded.dirty) == (stored.doi, False)
+    assert (reloaded.head.doi, reloaded.dirty) == (stored.head.doi, False)
     # the snapshot is a copy: changing the head leaves it as published
     Depot(state_path=state).upload_bytes(article_id, "a.dat", b"v3")
     again = Depot(state_path=state).state.articles[article_id]

@@ -23,6 +23,8 @@ import requests
 
 from conftest import TOKEN, client_config, git, make_repo
 
+import curator.client as client_mod
+from curator import depot_http
 from curator.client import (
     ROUTES,
     UPLOAD_CHUNK,
@@ -38,7 +40,7 @@ from curator.client import (
 )
 from curator.depot import Depot
 from curator.depot_http import DepotHttpServer, _Handler, _Server
-from curator.errors import BindError, CuratorError
+from curator.errors import BindError, CuratorError, TransportError
 from curator.gitrepo import export_archive
 from curator.publish import Publisher, SoftwareIdentity
 
@@ -550,7 +552,7 @@ class RestartingDepot:
 
 
 def _persisted(article):
-    return record_to_wire(article.head), article.published_versions, article.doi, article.dirty
+    return record_to_wire(article.head), article.published_versions, article.dirty
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__[2:])
@@ -747,6 +749,83 @@ def test_failed_append_is_500_and_logged(tmp_path, caplog):
     assert response.json() == {"error": "IoError"}
     (message,) = [r.message for r in caplog.records if r.levelno == logging.ERROR]
     assert message.startswith("POST /v1/articles failed: IoError: cannot write ")
+
+
+def test_an_unexpected_depot_failure_is_500_and_the_connection_serves_on(
+    http_server, monkeypatch, caplog
+):
+    article_id = http_server.depot.create_article(meta()).article_id
+    get_article = http_server.depot.get_article
+
+    def failing(article_id):
+        raise RuntimeError("the depot broke")
+
+    request = (
+        f"GET /v1/articles/{article_id} HTTP/1.1\r\nHost: depot\r\n"
+        f"Authorization: token {TOKEN}\r\n\r\n".encode()
+    )
+    host, port = http_server.address.rsplit(":", 1)
+    monkeypatch.setattr(http_server.depot, "get_article", failing)
+    with caplog.at_level(logging.INFO, logger="curator.depot_http"):
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(request)
+            head, body = _read_reply(sock)
+            assert head.startswith(b"HTTP/1.1 500 ")
+            assert b"Connection: close" not in head
+            assert json.loads(body) == {"error": "InternalError"}
+            monkeypatch.setattr(http_server.depot, "get_article", get_article)
+            sock.sendall(request)
+            head, body = _read_reply(sock)
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert json.loads(body)["article_id"] == article_id
+    (record,) = caplog.records
+    assert record.levelno == logging.ERROR
+    assert record.getMessage() == f"unhandled facade failure on GET /v1/articles/{article_id}"
+
+
+def test_an_unexpected_depot_failure_is_a_transport_error_at_once(
+    http_server, http_client, monkeypatch
+):
+    def failing(article_id):
+        raise RuntimeError("the depot broke")
+
+    delays = []
+    monkeypatch.setattr(client_mod.time, "sleep", delays.append)
+    monkeypatch.setattr(http_server.depot, "get_article", failing)
+    with pytest.raises(TransportError):
+        http_client.get_article(1)
+    assert delays == []
+
+
+def test_a_connection_past_the_cap_is_closed_unanswered(http_server, monkeypatch, caplog):
+    monkeypatch.setattr(depot_http, "MAX_CONNECTIONS", 2)
+    monkeypatch.setattr(_Handler, "timeout", 5)
+    article_id = http_server.depot.create_article(meta()).article_id
+    host, port = http_server.address.rsplit(":", 1)
+    idle = [socket.create_connection((host, int(port)), timeout=5) for _ in range(2)]
+    try:
+        with caplog.at_level(logging.WARNING, logger="curator.depot_http"):
+            with socket.create_connection((host, int(port)), timeout=5) as refused:
+                started = time.monotonic()
+                assert refused.recv(4096) == b""
+                assert time.monotonic() - started < 2
+        (record,) = caplog.records
+        assert record.getMessage() == "connection from 127.0.0.1 closed unanswered: 2 open"
+        delays = []
+
+        def sleep(delay):
+            # the client's first attempt was closed unanswered; a slot frees during its back-off
+            delays.append(delay)
+            idle.pop().close()
+            threading.Event().wait(delay)  # time.sleep is this function here
+
+        with HttpDepotClient(client_config(http_server.base_url)) as client:
+            monkeypatch.setattr(client_mod.time, "sleep", sleep)
+            assert client.get_article(article_id).article_id == article_id
+        assert delays == [0.5]
+    finally:
+        for sock in idle:
+            sock.close()
 
 
 def test_invalid_meta_is_422(http_server):
