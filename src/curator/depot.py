@@ -5,10 +5,9 @@ contract so the publication workflow can run with no network at all.
 Every mutation first writes its change, when a state file is given, as one
 line of a JSONL log; a write that fails or falls short is cut back off and
 changes nothing. Then one state rule, :meth:`Depot._apply`, makes the
-article's new record its head, and an op log records the change for test
-observability. An upload's line is the one file entry it added, so a
-line's size does not grow with the fileset; any other line is the
-article's whole wire-form record. Replay applies each line with the same
+article's new record its head. An upload's line is the one file entry it
+added, so a line's size does not grow with the fileset; any other line is
+the article's whole wire-form record. Replay applies each line with the same
 rule, so a restarted process gets the same state, never a file's bytes. A
 load that replayed many more lines than the depot holds live records marks
 the log, and the first write then replaces it with those records and its
@@ -89,7 +88,6 @@ class DepotState:
     next_article_id: int = 1
     next_file_id: int = 1
     articles: dict[int, StoredArticle] = field(default_factory=dict)
-    op_log: list[tuple[str, int, str]] = field(default_factory=list)
 
 
 def _require_text(value, what: str) -> str:
@@ -183,11 +181,11 @@ def _with_file(head: ArticleRecord, entry: FileEntry) -> ArticleRecord:
 class Depot(DepotClient):
     """Reference depot holding all state in memory.
 
-    All operations are serialized behind one lock, so concurrent callers
-    observe a single linear history (the op log). Pass ``state_path`` to
-    persist the depot across restarts as a log, one line per mutation,
+    All operations but an upload's hash are serialized behind one lock, so
+    concurrent callers observe a single linear history. Pass ``state_path``
+    to persist the depot across restarts as a log, one line per mutation,
     written before it applies and replayed through the rule the live
-    operations use (:meth:`_apply`): all but the op log survives a restart.
+    operations use (:meth:`_apply`), so a restart rebuilds all it held.
     A load that finds the log mostly superseded leaves it to the first write to compact.
     """
 
@@ -224,12 +222,11 @@ class Depot(DepotClient):
         if frozen:
             article.published_versions.append(record)
 
-    def _log(self, op: str, head: ArticleRecord, detail: str, change: dict | None = None) -> None:
+    def _log(self, head: ArticleRecord, change: dict | None = None) -> None:
         """Write ``change`` (by default ``head`` whole), then apply ``head``;
         a write that fails raises before anything changes."""
         self._save(record_to_wire(head) if change is None else change)
         self._apply(head)
-        self.state.op_log.append((op, head.article_id, detail))
 
     def _save(self, change: dict) -> None:
         """Append ``change`` as one line, or compact the log with it as its
@@ -339,7 +336,7 @@ class Depot(DepotClient):
         with self._lock:
             _validate_meta(meta)
             head = ArticleRecord(self.state.next_article_id, meta)
-            self._log("create_article", head, meta.title)
+            self._log(head)
             self.state.next_article_id += 1
             return head
 
@@ -358,21 +355,22 @@ class Depot(DepotClient):
         self, article_id: int, name: str, body, unless_md5: str | None = None
     ) -> FileEntry | None:
         """Hash ``body``, then record it as ``upload_bytes`` does unless its
-        MD5 is ``unless_md5``. The body is read before the article and name
-        are checked, as the HTTP facade reads a whole request first."""
+        MD5 is ``unless_md5``. The body is read outside the lock, so a long
+        hash holds no other caller back, and before the article and name are
+        checked, as the HTTP facade reads a whole request first."""
+        if isinstance(body, FileBody):
+            body.rewind()
+            md5, size = md5_of(body, len(body))
+        else:
+            md5, size = hashlib.md5(body).hexdigest(), body.nbytes
+        if md5 == unless_md5:
+            return None
         with self._lock:
-            if isinstance(body, FileBody):
-                body.rewind()
-                md5, size = md5_of(body, len(body))
-            else:
-                md5, size = hashlib.md5(body).hexdigest(), body.nbytes
-            if md5 == unless_md5:
-                return None
             article = self._get(article_id)
             _validate_file_name(name)
             entry = FileEntry(file_id=self.state.next_file_id, name=name, size=size, md5=md5)
             change = {"article_id": article_id, "file": file_entry_to_wire(entry)}
-            self._log("upload_file", _with_file(article.head, entry), name, change)
+            self._log(_with_file(article.head, entry), change)
             self.state.next_file_id += 1
             return entry
 
@@ -395,7 +393,7 @@ class Depot(DepotClient):
             head = article.head
             if tag not in head.meta.tags:
                 head = replace(head, meta=replace(head.meta, tags=(*head.meta.tags, tag)))
-                self._log("add_tag", head, tag)
+                self._log(head)
             return head
 
     def add_authors(self, article_id: int, author_ids) -> ArticleRecord:
@@ -406,7 +404,7 @@ class Depot(DepotClient):
             added = [a for a in dict.fromkeys(author_ids) if a not in head.authors]
             if added:
                 head = replace(head, authors=(*head.authors, *added))
-                self._log("add_authors", head, ",".join(str(a) for a in added))
+                self._log(head)
             return head
 
     def publish_article(self, article_id: int) -> tuple[str, int]:
@@ -417,7 +415,7 @@ class Depot(DepotClient):
             doi = article.head.doi or f"{DOI_PREFIX}.{article_id}"
             version = article.head.version + 1
             head = replace(article.head, status="published", version=version, doi=doi)
-            self._log("publish_article", head, f"version={version}")
+            self._log(head)
             return doi, version
 
     def get_article(self, article_id: int) -> ArticleRecord:

@@ -67,7 +67,8 @@ def write_config(path, base_url, token=TOKEN):
 
 def test_republishing_software_reuses_the_article(tmp_path, capsys):
     # one live depot shared by both CLI runs, reached over HTTP
-    depot = Depot()
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
     server = DepotHttpServer("127.0.0.1:0", depot, TOKEN).start()
     try:
         config = write_config(tmp_path / "cfg", server.base_url)
@@ -86,13 +87,13 @@ def test_republishing_software_reuses_the_article(tmp_path, capsys):
         code, out, err = cli(capsys, argv)
         assert code == 0, err
         first = result_line(out)
-        ops_after_first = list(depot.state.op_log)
+        log_after_first = state.read_bytes()
 
         code, out, err = cli(capsys, argv)
         assert code == 0, err
         assert result_line(out) == first
         assert f"reusing {first[1]}" in out
-        assert depot.state.op_log == ops_after_first
+        assert state.read_bytes() == log_after_first
         assert len(depot.state.articles) == 1
     finally:
         server.stop()
@@ -229,11 +230,9 @@ def test_every_client_scenario_agrees_across_transports(tmp_path):
     for index, scenario in enumerate(SCENARIOS):
         workdir = tmp_path / f"scenario_{index:02d}"
         workdir.mkdir()
-        direct, remote, direct_depot, facade_depot = run_scenario_both_ways(
-            scenario, workdir
-        )
+        direct, remote, direct_log, facade_log = run_scenario_both_ways(scenario, workdir)
         assert direct.log == remote.log, scenario.__name__
-        assert direct_depot.state.op_log == facade_depot.state.op_log, scenario.__name__
+        assert direct_log == facade_log, scenario.__name__
 
 
 def test_archive_export_is_reproducible_and_faithful(tmp_path):

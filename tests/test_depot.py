@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -10,12 +11,13 @@ import logging
 import os
 import random
 import re
+import threading
 import tracemalloc
 
 import pytest
 
 import curator.depot
-from curator.client import ArticleMeta, record_to_wire
+from curator.client import ArticleMeta, FileBody, record_to_wire
 from curator.depot import DOI_PREFIX, Depot
 from curator.errors import (
     CuratorError,
@@ -117,6 +119,68 @@ def test_upload_keeps_no_file_body(depot):
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20
+
+
+def test_a_long_lived_depot_holds_nothing_per_replacing_upload(depot):
+    ids = [depot.create_article(meta(title=f"set {n}")).article_id for n in range(5)]
+    names = [f"{index}.dat" for index in range(20)]
+
+    def upload(count):
+        for index in range(count):
+            depot.upload_bytes(ids[index % 5], names[index // 5 % 20], b"%d" % index)
+
+    tracemalloc.start()
+    try:
+        upload(1000)  # every name held once, and every cache warm
+        # a full collection also empties the interpreter's free lists, which
+        # keep up to 2000 freed tuples of each small size allocated
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        upload(5000)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown / 5000 < 16
+
+
+class HeldBody(FileBody):
+    """A file body whose reads wait until ``release`` is set."""
+
+    def __init__(self, path, release):
+        super().__init__(open(path, "rb"), path)
+        self.reading = threading.Event()
+        self.release = release
+
+    def readinto(self, buffer):
+        self.reading.set()
+        self.release.wait(30)
+        return super().readinto(buffer)
+
+
+def test_an_upload_hashes_its_body_outside_the_depot_lock(depot, tmp_path):
+    article_id = depot.create_article(meta()).article_id
+    path = tmp_path / "a.dat"
+    path.write_bytes(b"payload")
+    release, uploaded, fetched = threading.Event(), [], []
+    with HeldBody(path, release) as body:
+        uploader = threading.Thread(
+            target=lambda: uploaded.append(depot.upload_bytes(article_id, "a.dat", body))
+        )
+        reader = threading.Thread(target=lambda: fetched.append(depot.get_article(article_id)))
+        uploader.start()
+        try:
+            assert body.reading.wait(5)
+            reader.start()
+            reader.join(2)
+            assert fetched, "get_article waited for another caller's upload hash"
+        finally:
+            release.set()
+            uploader.join()
+            if reader.ident is not None:
+                reader.join()
+    assert fetched[0].files == ()
+    assert uploaded[0].md5 == hashlib.md5(b"payload").hexdigest()
 
 
 def test_upload_file_streams_from_disk(depot, tmp_path):
@@ -254,7 +318,9 @@ def test_search_matches_brute_force_over_fifty_articles():
         assert got == want
 
 
-def test_op_log_counts_only_successful_mutations(depot):
+def test_the_log_holds_only_successful_mutations(tmp_path):
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
     article = depot.create_article(meta())
     depot.upload_bytes(article.article_id, "a.dat", b"x")
     depot.add_tag(article.article_id, "t")
@@ -265,12 +331,14 @@ def test_op_log_counts_only_successful_mutations(depot):
     with pytest.raises(NotFound):
         depot.get_article(12345)
     depot.publish_article(article.article_id)
-    ops = [entry[0] for entry in depot.state.op_log]
-    assert ops == [
-        "create_article",
-        "upload_file",
-        "add_tag",
-        "publish_article",
+    lines = [json.loads(line) for line in state.read_bytes().splitlines()]
+    (entry,) = depot.get_article(article.article_id).files
+    assert lines[1] == {"article_id": article.article_id, "file": vars(entry)}
+    assert [(line.get("status"), line.get("tags")) for line in lines] == [
+        ("draft", []),
+        (None, None),
+        ("draft", ["t"]),
+        ("published", ["t"]),
     ]
 
 
@@ -500,12 +568,6 @@ def test_load_reports_what_it_replayed(tmp_path, caplog):
     )
 
 
-def stored_state(depot):
-    """Everything a restart must restore: every article's whole stored state,
-    and both id counters."""
-    return depot.state.articles, depot.state.next_article_id, depot.state.next_file_id
-
-
 def test_create_then_publish_writes_two_lines(tmp_path):
     state = tmp_path / "depot.jsonl"
     depot = Depot(state_path=state)
@@ -541,7 +603,7 @@ def test_log_with_a_repeated_draft_line_loads_as_the_two_line_log(tmp_path):
     assert state.read_text() == OLD_CREATE_LINE + OLD_PUBLISH_LINE
 
     reloaded = Depot(state_path=old)
-    assert stored_state(reloaded) == stored_state(Depot(state_path=state))
+    assert reloaded.state == Depot(state_path=state).state
     assert len(reloaded.state.articles[1].published_versions) == 1
     with pytest.raises(NothingToPublish):
         reloaded.publish_article(1)
@@ -692,7 +754,7 @@ def test_a_log_mixing_head_and_entry_upload_lines_replays_alike(tmp_path):
     reloaded = Depot(state_path=state)
     for target in (article_id, second):
         assert reloaded.get_article(target) == model.get_article(target)
-    assert stored_state(reloaded) == stored_state(depot) == stored_state(model)
+    assert reloaded.state == depot.state == model.state
 
 
 ENTRY = {"file_id": 5, "name": "a.dat", "size": 1, "md5": "0" * 32}
@@ -961,7 +1023,33 @@ def test_random_op_sequences_match_replay_model(tmp_path):
                 known.append(expected[1]["article_id"])
         for article_id in known:
             assert record_to_wire(depot.get_article(article_id)) == model.get(article_id)[1]
-        assert stored_state(Depot(state_path=state)) == stored_state(persisted)
+        assert Depot(state_path=state).state == persisted.state
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_live_depot_holds_exactly_what_its_log_replays(tmp_path, seed):
+    rng = random.Random(31000 + seed)
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
+    path = tmp_path / "a.dat"
+    known, outcomes = [], []
+    for _ in range(200):
+        op, args = _draw_op(rng, known)
+        if op == "upload" and rng.random() < 0.3:
+            # upload_changed, told the body's own MD5 or another
+            article_id, _, content = args
+            path.write_bytes(content)
+            told = hashlib.md5(content if rng.random() < 0.5 else b"other").hexdigest()
+            try:
+                outcomes.append(("ok", depot.upload_changed(article_id, path, told)))
+            except CuratorError as exc:
+                outcomes.append(("err", exc.kind))
+            continue
+        outcomes.append(_apply_to_depot(depot, op, args))
+        if op == "create" and outcomes[-1][0] == "ok":
+            known.append(outcomes[-1][1]["article_id"])
+    assert ("ok", None) in outcomes and any(kind == "err" for kind, _ in outcomes)
+    assert Depot(state_path=state).state == depot.state
 
 
 MUTATIONS = {
@@ -983,14 +1071,14 @@ def test_failed_append_leaves_the_depot_unchanged(tmp_path, op, published):
     if published:  # a published version, and a change pending since
         depot.publish_article(article_id)
         depot.upload_bytes(article_id, "a.dat", b"two")
-    before = copy.deepcopy(depot.state.articles), list(depot.state.op_log)
+    before = copy.deepcopy(depot.state)
     record = depot.get_article(article_id)
     state.unlink()
     state.mkdir()  # every append fails from here on
     with pytest.raises(IoError):
         MUTATIONS[op](depot, article_id)
     assert depot.get_article(article_id) == record
-    assert (depot.state.articles, depot.state.op_log) == before
+    assert depot.state == before
 
 
 class HalfThenFull(io.FileIO):
@@ -1021,7 +1109,7 @@ def test_a_torn_append_is_cut_off_and_the_next_write_replays(tmp_path, monkeypat
     monkeypatch.undo()
     assert state.read_bytes() == before
     depot.add_tag(article_id, "after")
-    assert stored_state(Depot(state_path=state)) == stored_state(depot)
+    assert Depot(state_path=state).state == depot.state
 
 
 # -- compaction --------------------------------------------------------------
@@ -1072,9 +1160,9 @@ def test_a_compacted_log_replays_to_the_state_of_the_full_log(tmp_path, seed):
             _mutate(restarted, rngs[1])
     assert line_count(compacted) < line_count(full)
     assert (
-        stored_state(Depot(state_path=compacted))
-        == stored_state(Depot(state_path=full))
-        == stored_state(one_process)
+        Depot(state_path=compacted).state
+        == Depot(state_path=full).state
+        == one_process.state
     )
 
 
@@ -1116,7 +1204,7 @@ def test_every_kind_of_first_write_compacts_a_marked_log(tmp_path, caplog, op):
         MUTATIONS[op](depot, article_id)
     assert line_count(state) < lines_before
     assert caplog.messages[-1].startswith(f"compacted {state}: {lines_before} line(s) -> ")
-    assert stored_state(Depot(state_path=state)) == stored_state(depot)
+    assert Depot(state_path=state).state == depot.state
 
 
 def test_a_failed_compaction_changes_nothing_and_the_next_write_retries(tmp_path, monkeypatch):
@@ -1133,7 +1221,7 @@ def test_a_failed_compaction_changes_nothing_and_the_next_write_retries(tmp_path
     monkeypatch.undo()
     assert state.read_bytes() == before
     assert sorted(path.name for path in tmp_path.iterdir()) == ["depot.jsonl"]
-    assert stored_state(depot) == stored_state(Depot(state_path=state))
+    assert depot.state == Depot(state_path=state).state
     depot.add_tag(1, "late")
     assert line_count(state) == 2
 
@@ -1148,7 +1236,7 @@ def test_a_compaction_replaces_the_temp_file_a_killed_one_left(tmp_path):
     depot.add_tag(1, "late")
     assert line_count(state) == 2
     assert sorted(path.name for path in tmp_path.iterdir()) == ["depot.jsonl"]
-    assert stored_state(Depot(state_path=state)) == stored_state(depot)
+    assert Depot(state_path=state).state == depot.state
 
 
 def test_a_read_only_load_never_rewrites_a_compactable_log(tmp_path):

@@ -505,14 +505,20 @@ SCENARIOS = [
 ]
 
 
+def log_bytes(state_path):
+    """What a depot's log holds: nothing before its first write."""
+    return state_path.read_bytes() if state_path.exists() else b""
+
+
 def run_scenario_both_ways(scenario, tmp_path):
-    direct_depot = Depot()
-    direct = Probe(direct_depot, tmp_path / "direct")
+    """Run ``scenario`` on a depot in process and on one behind the facade;
+    return each side's probe, then the bytes each depot's log holds."""
+    direct_state, facade_state = tmp_path / "direct.jsonl", tmp_path / "facade.jsonl"
+    direct = Probe(Depot(state_path=direct_state), tmp_path / "direct")
     direct.workdir.mkdir()
     scenario(direct)
 
-    facade_depot = Depot()
-    server = DepotHttpServer("127.0.0.1:0", facade_depot, TOKEN).start()
+    server = DepotHttpServer("127.0.0.1:0", Depot(state_path=facade_state), TOKEN).start()
     try:
         with HttpDepotClient(client_config(server.base_url)) as client:
             remote = Probe(client, tmp_path / "remote")
@@ -520,16 +526,15 @@ def run_scenario_both_ways(scenario, tmp_path):
             scenario(remote)
     finally:
         server.stop()
-    return direct, remote, direct_depot, facade_depot
+    return direct, remote, log_bytes(direct_state), log_bytes(facade_state)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__[2:])
 def test_contract_parity(scenario, tmp_path):
-    direct, remote, direct_depot, facade_depot = run_scenario_both_ways(scenario, tmp_path)
+    direct, remote, direct_log, facade_log = run_scenario_both_ways(scenario, tmp_path)
     assert direct.log == remote.log
     # the depots themselves went through the identical mutation history
-    assert direct_depot.state.op_log == facade_depot.state.op_log
-
+    assert direct_log == facade_log
 
 
 class RestartingDepot:
@@ -538,42 +543,26 @@ class RestartingDepot:
 
     def __init__(self, state_path):
         self.state_path = state_path
-        self.op_log = []
 
     def __getattr__(self, op):
-        def call(*args):
-            depot = Depot(state_path=self.state_path)
-            try:
-                return getattr(depot, op)(*args)
-            finally:
-                self.op_log.extend(depot.state.op_log)
-
-        return call
-
-
-def _persisted(article):
-    return record_to_wire(article.head), article.published_versions, article.dirty
+        return getattr(Depot(state_path=self.state_path), op)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__[2:])
 def test_contract_holds_across_restarts(scenario, tmp_path):
-    steady_depot = Depot()
+    steady_depot = Depot(state_path=tmp_path / "steady.jsonl")
     steady = Probe(steady_depot, tmp_path / "steady")
     steady.workdir.mkdir()
     scenario(steady)
 
     state = tmp_path / "depot.jsonl"
-    restarting_depot = RestartingDepot(state)
-    restarting = Probe(restarting_depot, tmp_path / "restarting")
+    restarting = Probe(RestartingDepot(state), tmp_path / "restarting")
     restarting.workdir.mkdir()
     scenario(restarting)
 
     assert restarting.log == steady.log
-    assert restarting_depot.op_log == steady_depot.state.op_log
-    reloaded = Depot(state_path=state) if state.exists() else Depot()
-    assert {i: _persisted(a) for i, a in reloaded.state.articles.items()} == {
-        i: _persisted(a) for i, a in steady_depot.state.articles.items()
-    }
+    assert log_bytes(state) == log_bytes(tmp_path / "steady.jsonl")
+    assert Depot(state_path=state).state == steady_depot.state
 
 
 @pytest.mark.parametrize("transport", ["direct", "http"])
@@ -583,7 +572,7 @@ def test_upload_changed_with_the_files_own_md5_changes_nothing(tmp_path, monkeyp
     path = tmp_path / "data.vtu"
     path.write_bytes(b"payload")
     entry = depot.upload_file(article_id, path)
-    before = depot.get_article(article_id), list(depot.state.op_log)
+    record = depot.get_article(article_id)
     log = (tmp_path / "depot.jsonl").read_bytes()
     requests_seen = []
     dispatch = _Handler._dispatch
@@ -602,7 +591,7 @@ def test_upload_changed_with_the_files_own_md5_changes_nothing(tmp_path, monkeyp
         finally:
             server.stop()
     assert requests_seen == []
-    assert (depot.get_article(article_id), depot.state.op_log) == before
+    assert depot.get_article(article_id) == record
     assert (tmp_path / "depot.jsonl").read_bytes() == log
 
 
@@ -1396,21 +1385,6 @@ def test_facade_state_persists_across_server_restarts(tmp_path):
     finally:
         client.close()
         second.stop()
-
-
-def test_op_log_json_roundtrip(tmp_path):
-    # the parity comparison feeds on op logs; pin their shape
-    depot = Depot()
-    record = depot.create_article(meta())
-    depot.add_tag(record.article_id, "x")
-    assert depot.state.op_log == [
-        ("create_article", 1, "wave"),
-        ("add_tag", 1, "x"),
-    ]
-    assert json.loads(json.dumps(depot.state.op_log)) == [
-        ["create_article", 1, "wave"],
-        ["add_tag", 1, "x"],
-    ]
 
 
 @pytest.mark.parametrize("length", ["1_2", "+12", "0_12"])

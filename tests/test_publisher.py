@@ -238,16 +238,17 @@ def test_publish_software_end_to_end(tmp_path):
 def test_publish_software_is_idempotent(tmp_path):
     repo = make_repo(tmp_path / "repo")
     head = git(repo, "rev-parse", "HEAD")
-    depot = Depot()
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
     publisher = Publisher(depot)
     identity = SoftwareIdentity(name="repo", commit=head, local_repo=repo)
 
     first = publisher.publish_software(identity)
-    ops_after_first = list(depot.state.op_log)
+    log_after_first = state.read_bytes()
     second = publisher.publish_software(identity)
 
     assert second == (first.article_id, first.doi, True)
-    assert depot.state.op_log == ops_after_first
+    assert state.read_bytes() == log_after_first
     assert len(depot.state.articles) == 1
 
 
@@ -354,11 +355,12 @@ def test_publish_data_selective_rerun(tmp_path):
 
 
 def test_publish_data_noop_rerun_skips_publish(tmp_path):
-    depot = Depot()
+    state = tmp_path / "depot.jsonl"
+    depot = Depot(state_path=state)
     publisher = Publisher(depot)
     paths = _data_files(tmp_path)
     first = publisher.publish_data(FilesetSpec(title="run data", paths=paths))
-    ops_before = list(depot.state.op_log)
+    log_before = state.read_bytes()
 
     again = publisher.publish_data(
         FilesetSpec(title="run data", paths=paths, existing_article_id=first.article_id)
@@ -367,7 +369,7 @@ def test_publish_data_noop_rerun_skips_publish(tmp_path):
     assert again.skipped == paths
     assert again.doi == first.doi
     assert depot.get_article(first.article_id).version == 1
-    assert depot.state.op_log == ops_before
+    assert state.read_bytes() == log_before
 
 
 def test_publish_data_noop_rerun_fetches_the_record_once(tmp_path, monkeypatch):
