@@ -30,6 +30,7 @@ CONFIG_ENV_VAR = "CURATOR_CONFIG"
 DEFAULT_CONFIG_NAME = ".curator"
 DEFAULT_CATEGORY = "Computational Physics"
 
+# ClientConfig's fields, in order, each a key [depot] must set
 _CREDENTIAL_KEYS = ("base_url", "client_key", "client_secret", "token", "token_secret")
 
 
@@ -69,13 +70,7 @@ def load_config(path) -> PublisherConfig:
         missing = [key for key, value in values.items() if not value]
         if missing:
             raise ParseError(f"{path}: [depot] is missing {', '.join(missing)}")
-        depot = ClientConfig(
-            base_url=values["base_url"],
-            client_key=values["client_key"],
-            client_secret=values["client_secret"],
-            token=values["token"],
-            token_secret=values["token_secret"],
-        )
+        depot = ClientConfig(**values)
 
     category = parser.get("general", "default_category", fallback="").strip()
     return PublisherConfig(depot=depot, default_category=category or DEFAULT_CATEGORY)

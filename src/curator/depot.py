@@ -68,17 +68,27 @@ COMPACT_FLOOR = 64
 class StoredArticle:
     """Server-side state for one article: records, never file bytes.
 
-    ``head`` is replaced by each change, and ``dirty`` tracks whether
-    changes are pending since the last publish. ``published_versions``
-    holds, per published version, the record ``get_article`` returned right
-    after that publish: the head of that moment, which no later change can
-    alter, since records are frozen.
-    Only :meth:`Depot._apply` sets ``dirty`` and grows ``published_versions``.
+    ``records`` are its live records, the lines a compaction writes for it:
+    each published version in order, as ``get_article`` returned it right
+    after that publish, then the head while changes are pending. Records
+    are frozen, so no later change alters a published version.
+    Only :meth:`Depot._apply` changes ``records``.
     """
 
-    head: ArticleRecord
-    published_versions: list[ArticleRecord] = field(default_factory=list)
-    dirty: bool = True
+    records: list[ArticleRecord]
+
+    @property
+    def head(self) -> ArticleRecord:
+        return self.records[-1]
+
+    @property
+    def dirty(self) -> bool:  # pending changes: a draft, or a head at the last published version
+        head, records = self.records[-1], self.records
+        return head.status == "draft" or (len(records) > 1 and records[-2].version == head.version)
+
+    @property
+    def published_versions(self) -> list[ArticleRecord]:
+        return self.records[: len(self.records) - self.dirty]
 
 
 @dataclass
@@ -160,12 +170,6 @@ def _validate_replayed(payload: dict, record: ArticleRecord, article: StoredArti
             raise InvalidMeta(f"doi went {previous.doi} -> {record.doi}")
 
 
-def _live_records(article: StoredArticle) -> list[ArticleRecord]:
-    """The lines a load needs to rebuild ``article``: each published version,
-    then the head if changes are pending, as a draft's always are."""
-    return [*article.published_versions, *([article.head] if article.dirty else [])]
-
-
 def _log_line(change: dict) -> bytes:
     """A change as the log holds it, whether appended or compacted."""
     return (json.dumps(change, sort_keys=True) + "\n").encode("utf-8")
@@ -208,19 +212,15 @@ class Depot(DepotClient):
         return article
 
     def _apply(self, record: ArticleRecord) -> None:
-        """Make ``record`` its article's head. A published record whose
-        version differs from the previous head's is frozen as that version;
-        any other record leaves changes pending."""
+        """Make ``record`` its article's head: it replaces a head with
+        pending changes, or else follows the published version."""
         article = self.state.articles.get(record.article_id)
-        frozen = record.status == "published" and (
-            article is None or article.head.version != record.version
-        )
         if article is None:
-            article = self.state.articles[record.article_id] = StoredArticle(record)
-        article.head = record
-        article.dirty = not frozen
-        if frozen:
-            article.published_versions.append(record)
+            self.state.articles[record.article_id] = StoredArticle([record])
+        elif article.dirty:
+            article.records[-1] = record
+        else:
+            article.records.append(record)
 
     def _log(self, head: ArticleRecord, change: dict | None = None) -> None:
         """Write ``change`` (by default ``head`` whole), then apply ``head``;
@@ -258,7 +258,7 @@ class Depot(DepotClient):
         lines = [
             _log_line(record_to_wire(record))
             for _, article in sorted(self.state.articles.items())
-            for record in _live_records(article)
+            for record in article.records
         ] + [line]
         data = b"".join(lines)
         replace_file(self._state_path, data)
@@ -314,7 +314,7 @@ class Depot(DepotClient):
         if self.state.articles:
             self.state.next_article_id = max(self.state.articles) + 1
         self.state.next_file_id = max_file_id + 1
-        live = sum(len(_live_records(article)) for article in self.state.articles.values())
+        live = sum(len(article.records) for article in self.state.articles.values())
         if replayed > max(2 * live, COMPACT_FLOOR):
             self._compact_from = replayed
         logger.info(
@@ -410,7 +410,7 @@ class Depot(DepotClient):
     def publish_article(self, article_id: int) -> tuple[str, int]:
         with self._lock:
             article = self._get(article_id)
-            if article.head.status == "published" and not article.dirty:
+            if not article.dirty:
                 raise NothingToPublish(f"article {article_id} has no pending changes")
             doi = article.head.doi or f"{DOI_PREFIX}.{article_id}"
             version = article.head.version + 1

@@ -362,13 +362,10 @@ class _DeflateCache:
             self.file.close()
 
     def take(self, sha: bytes) -> tuple[int, int, bytes] | None:
-        """Blob ``sha``'s CRC-32 and size and its cached deflated bytes, if the
-        CRC-32 of its record holds."""
-        offset = self.index.get(sha)
-        if offset is None:
-            return None
+        """Indexed blob ``sha``'s CRC-32 and size and its cached deflated bytes,
+        if the CRC-32 of its record still holds."""
         try:
-            self.file.seek(offset)
+            self.file.seek(self.index[sha])
             head = self.file.read(_CACHE_RECORD.size)
             check, _, crc, size, csize = _CACHE_RECORD.unpack(head)
             data = self.file.read(csize)

@@ -141,8 +141,10 @@ def read_publish_options(project_path) -> PublishOptions:
         raw_id = element.get("article_id") or ""
         if raw_id:
             try:
+                if not (raw_id.isascii() and raw_id.isdigit()):  # int() also reads "+", "_", " "
+                    raise ValueError(raw_id)
                 state.article_id = int(raw_id)
-            except ValueError:
+            except ValueError:  # including more digits than int() converts
                 raise SchemaError(f"{project_path}: bad article_id {raw_id!r} on <{name}>")
         state.doi = element.get("doi") or None
         if state.doi and state.article_id is None:
@@ -256,6 +258,7 @@ def expand_patterns(patterns, base_dir) -> list[Path]:
 
 
 def _upsert_constant(text: str, name: str, value: str, path) -> str:
+    name = _escape(name)  # the element and the search for it hold the same text
     element = f'<constant name="{name}" type="string" value="{_escape(value)}"/>'
     named = re.compile(rf'\sname="{re.escape(name)}"')
     last = None

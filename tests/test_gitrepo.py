@@ -489,6 +489,31 @@ def test_damaged_record_field_gives_the_same_archive_and_is_mended(tmp_path, fie
     assert export_archive(repo, "HEAD").cached == 40
 
 
+def test_a_cache_record_changed_during_the_export_raises(tmp_path, monkeypatch):
+    repo = _revision_repo(tmp_path)
+    export_archive(repo, "HEAD")
+    cache = repo / ".git" / CACHE
+    enter = gitrepo._DeflateCache.__enter__
+
+    def enter_then_overwrite(self):
+        opened = enter(self)
+        with open(cache, "r+b") as out:  # the last record's deflated bytes, in place
+            out.seek(-1, os.SEEK_END)
+            last = out.read(1)[0]
+            out.seek(-1, os.SEEK_END)
+            out.write(bytes([last ^ 0xFF]))
+        return opened
+
+    monkeypatch.setattr(gitrepo._DeflateCache, "__enter__", enter_then_overwrite)
+    with pytest.raises(IoError) as raised:
+        export_archive(repo, "HEAD")
+    assert f"deflate cache {cache} changed" in str(raised.value)
+    monkeypatch.undo()
+    again = export_archive(repo, "HEAD")
+    assert again == _zipfile_reference(repo, "repo")
+    assert (again.cached, again.deflated) == (39, 1)
+
+
 def _spy_on_cat_file(monkeypatch) -> list:
     """Patch Popen to note the ids each ``cat-file`` process reads, one list per process."""
     asked, popen = [], subprocess.Popen

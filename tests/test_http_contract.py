@@ -1205,7 +1205,7 @@ def test_a_reply_the_client_stops_reading_is_one_info_line(
     # about 2 MiB of reply, far more than both ends' socket buffers hold
     files = tuple(FileEntry(index, f"{index}.dat", 1, "0" * 32) for index in range(1, 20001))
     http_server.depot.create_article(meta())
-    http_server.depot.state.articles[1].head = replace(
+    http_server.depot.state.articles[1].records[-1] = replace(
         http_server.depot.get_article(1), files=files
     )
     host, port = http_server.address.rsplit(":", 1)

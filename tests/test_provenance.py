@@ -98,12 +98,14 @@ def test_read_options_schema_errors(tmp_path, mutation):
         read_publish_options(path)
 
 
-def test_bad_article_id_rejected(tmp_path):
+@pytest.mark.parametrize("raw_id", ["seven", "1_2", "\u0663", "+7", " 7", "-1"])
+def test_bad_article_id_rejected(tmp_path, raw_id):
     path = tmp_path / "sim.xml"
     path.write_text(
         "<simulation><publish enabled='false'>"
-        "<software article_id='seven'/>"
-        "</publish></simulation>"
+        f"<software article_id='{raw_id}'/>"
+        "</publish></simulation>",
+        encoding="utf-8",
     )
     with pytest.raises(SchemaError):
         read_publish_options(path)
@@ -511,6 +513,26 @@ def test_inject_respects_name_prefix(tmp_path):
     text = path.read_text()
     assert 'name="XyzVersion"' in text
     assert 'name="FluidityVersion"' not in text
+
+
+def test_inject_escapes_the_name_prefix(tmp_path):
+    path = write_stat(tmp_path / "sim.stat")
+    constants = ProvenanceConstants(
+        software_version="c" * 40,
+        software_doi="10.5072/mockdepot.1",
+        input_doi="10.5072/mockdepot.2",
+        name_prefix='Flu"id<ity',
+    )
+    inject_provenance(path, constants)
+    header = "".join(line for line in path.read_text().splitlines() if line.startswith("<"))
+    constants_read = {
+        element.get("name"): element.get("value")
+        for element in ElementTree.fromstring(f"<header>{header}</header>")
+    }
+    assert constants_read['Flu"id<ityVersion'] == "c" * 40
+    first = path.read_bytes()
+    inject_provenance(path, constants)
+    assert path.read_bytes() == first
 
 
 def test_inject_does_not_touch_similar_names(tmp_path):

@@ -549,6 +549,39 @@ def test_needs_upload_never_trusts_a_file_changed_in_the_tick_it_is_read(
     assert hashed == [path, path]
 
 
+# what os.utime refuses: touching the directory for its clock, or stamping a sidecar
+UTIME_REFUSALS = {
+    "no directory clock": os.path.isdir,
+    "no sidecar stamp": lambda path: str(path).endswith(".md5"),
+}
+
+
+@pytest.mark.parametrize("refused", UTIME_REFUSALS.values(), ids=UTIME_REFUSALS)
+def test_publish_data_that_cannot_stamp_rehashes_each_file(tmp_path, monkeypatch, refused):
+    paths = _data_files(tmp_path)
+    wait_for_clock(*paths)
+    utime = os.utime
+
+    def refusing_utime(path, *args, **kwargs):
+        if refused(path):
+            raise PermissionError(f"cannot set times of {path}")
+        return utime(path, *args, **kwargs)
+
+    monkeypatch.setattr(publish.os, "utime", refusing_utime)
+    publisher = Publisher(Depot())
+    first = publisher.publish_data(FilesetSpec(title="run data", paths=paths))
+    assert first.uploaded == paths
+    # a stamp would give each sidecar its file's mtime
+    assert all(sidecar_path(p).stat().st_mtime_ns != p.stat().st_mtime_ns for p in paths)
+
+    hashed = _count_hashes(monkeypatch)
+    again = publisher.publish_data(
+        FilesetSpec(title="run data", paths=paths, existing_article_id=first.article_id)
+    )
+    assert (again.uploaded, again.skipped) == ([], paths)
+    assert hashed == paths
+
+
 def test_publish_data_reuploads_a_file_rewritten_during_its_upload(tmp_path, monkeypatch):
     depot = Depot()
     publisher = Publisher(depot)
